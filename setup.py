@@ -33,18 +33,6 @@ class OptionalBuildExt(build_ext):
               f"the pure-Python search path will be used", file=sys.stderr)
 
 
-def _extensions():
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        print("warning: Cython unavailable; skipping the census kernel",
-              file=sys.stderr)
-        return []
-    return cythonize(
-        [Extension("foursq._kernel", ["src/foursq/_kernel.pyx"],
-                   extra_compile_args=["-O2"])],
-        compiler_directives={"language_level": "3"},
-    )
-
-
-setup(ext_modules=_extensions(), cmdclass={"build_ext": OptionalBuildExt})
+setup(ext_modules=[Extension("foursq._kernel", ["src/foursq/_kernel.c"],
+                             extra_compile_args=["-O2"])],
+      cmdclass={"build_ext": OptionalBuildExt})

@@ -1,5 +1,6 @@
 """Exact perfect-square testing and four-condition verification with certificates."""
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,25 +26,11 @@ _QR_MASKS = tuple((m, _qr_mask(m)) for m in _QR_MODULI)
 
 
 def isqrt(v: int) -> int:
-    """Floor square root of a nonnegative integer, exact at any size.
-
-    Newton iteration seeded from the bit length: the seed is >= the true
-    root, each step decreases until the fixed point, then a downward
-    correction guards the boundary.
-    """
+    """Floor square root of a nonnegative integer, exact at any size
+    (`math.isqrt`, with `DomainError` on negative input)."""
     if v < 0:
         raise DomainError(f"isqrt of negative value {v}")
-    if v < 2:
-        return v
-    x = 1 << ((v.bit_length() + 1) // 2)
-    while True:
-        y = (x + v // x) // 2
-        if y >= x:
-            break
-        x = y
-    while x * x > v:
-        x -= 1
-    return x
+    return math.isqrt(v)
 
 
 def passes_qr_masks(v: int) -> bool:

@@ -15,7 +15,7 @@ from typing import Optional
 
 from .certify import DomainError, verify_four
 from .family import ConstructionError, TripleCandidate, make_companion, make_main
-from .search import ORACLE_MAX_BOUND, brute_oracle, search_triples
+from .search import ORACLE_MAX_BOUND, brute_oracle, census_path, search_triples
 from .sequences import sequence_values
 from .symbolic import prove_identities
 
@@ -148,6 +148,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_search(args) -> int:
     jobs = args.jobs if args.jobs is not None else int(os.environ.get("FOURSQ_JOBS", "1"))
+    use_kernel, reason = census_path(args.max, args.pure)
+    print(f"search path: {'kernel' if use_kernel else 'pure Python'} "
+          f"({reason})", file=sys.stderr)
     result = search_triples(args.max, jobs=jobs, force_pure=args.pure)
     records = [_search_record(a, b, c, cert) for a, b, c, cert in result.triples]
     if args.format == "json":
@@ -270,6 +273,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed usage
         return int(exc.code or 0)
+    # Indices up to INDEX_CAP and verify arguments have far more than the
+    # 4300 decimal digits CPython 3.11+ converts by default.
+    digit_limit = (sys.get_int_max_str_digits()
+                   if hasattr(sys, "get_int_max_str_digits") else None)
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except ConstructionError as exc:
@@ -278,6 +287,9 @@ def main(argv=None) -> int:
     except (DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

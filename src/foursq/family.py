@@ -106,12 +106,13 @@ def make_main(n: int) -> TripleCandidate:
     pt = conic_point(n)
     a, r, b, c = poly_a(pt), poly_r(pt), poly_b(pt), poly_c(pt)
     s = poly_s(pt)
-    assert a * b + 1 == r * r
-    assert b * a == r * r - 1 and b == (r * r - 1) // a
-    assert c == a + b + 2 * r
-    assert a * c + 1 == (a + r) ** 2
-    assert b * c + 1 == (b + r) ** 2
-    assert a * b * c + 1 == s * s
+    checks = (a * b + 1 == r * r, c == a + b + 2 * r,
+              a * c + 1 == (a + r) ** 2, b * c + 1 == (b + r) ** 2,
+              a * b * c + 1 == s * s)
+    if not all(checks):
+        raise ConstructionError(
+            f"main index {n}: invariant {checks.index(False) + 1} of "
+            f"ab+1=r^2, c=a+b+2r, ac+1=(a+r)^2, bc+1=(b+r)^2, abc+1=s^2 fails")
     return TripleCandidate(n=n, variant="main", x=pt.x, y=pt.y,
                            a=a, r=r, b=b, c=c, s=s,
                            admissible=_admissible(a, b, c))
@@ -157,7 +158,9 @@ def regular_complete(a: int, b: int) -> tuple:
     if r is None:
         raise NotDiophantinePair(f"{a}*{b}+1 = {a * b + 1} is not a perfect square")
     c = a + b + 2 * r
-    assert a * c + 1 == (a + r) ** 2 and b * c + 1 == (b + r) ** 2
+    if a * c + 1 != (a + r) ** 2 or b * c + 1 != (b + r) ** 2:
+        raise ConstructionError(
+            f"regular completion of ({a}, {b}) with r={r} is not a triple")
     return c, r
 
 
@@ -168,7 +171,8 @@ def degenerate_family(k: int) -> tuple:
         raise DomainError(f"degenerate family needs k >= 2, got {k}")
     b = k * k - 1
     c = (k + 1) ** 2 - 1
-    assert perfect_square_root(b + 1) is not None
-    assert perfect_square_root(c + 1) is not None
-    assert perfect_square_root(b * c + 1) is not None
+    for v in (b + 1, c + 1, b * c + 1):
+        if perfect_square_root(v) is None:
+            raise ConstructionError(
+                f"degenerate family k={k}: {v} is not a perfect square")
     return b, c

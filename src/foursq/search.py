@@ -54,12 +54,18 @@ def kernel_loaded() -> bool:
     return _kernel is not None
 
 
-def _use_kernel(bound: int, force_pure: bool) -> bool:
-    if force_pure or _kernel is None:
-        return False
+def census_path(bound: int, force_pure: bool = False) -> Tuple[bool, str]:
+    """Whether a census to `bound` runs in the kernel, and why (or why not)."""
+    if force_pure:
+        return False, "--pure given"
     if os.environ.get("FOURSQ_PURE"):
-        return False
-    return bound <= KERNEL_MAX_BOUND
+        return False, "FOURSQ_PURE is set"
+    if _kernel is None:
+        return False, "kernel not built"
+    if bound > KERNEL_MAX_BOUND:
+        return False, (f"bound {bound} exceeds KERNEL_MAX_BOUND "
+                       f"{KERNEL_MAX_BOUND}")
+    return True, "compiled kernel loaded"
 
 
 def spf_sieve(limit: int) -> List[int]:
@@ -161,8 +167,9 @@ def _census_chunk_py(bound: int, r_lo: int, r_hi: int,
                      ) -> Tuple[List[Tuple[int, ...]], int, int]:
     """Scan pairs with r in [r_lo, r_hi); return raw triples and counters.
 
-    Raw triples are (a, b, c, r_ab, r_ac, r_bc, r_abc) tuples, matching the
-    compiled kernel's output exactly.
+    Raw triples are (a, b, c, r_ab, r_ac, r_bc, r_abc) tuples.  The compiled
+    kernel returns the same tuples, possibly in another order, and the same
+    counters.
     """
     if spf is None:
         spf = spf_sieve(max(r_hi, bound + 1, 3))
@@ -197,8 +204,8 @@ def _census_chunk_py(bound: int, r_lo: int, r_hi: int,
 
 
 def _chunk_worker(args) -> Tuple[List[Tuple[int, ...]], int, int]:
-    bound, r_lo, r_hi, force_pure = args
-    if _use_kernel(bound, force_pure):
+    bound, r_lo, r_hi, use_kernel = args
+    if use_kernel:
         return _kernel.census_chunk(bound, r_lo, r_hi)
     return _census_chunk_py(bound, r_lo, r_hi)
 
@@ -216,14 +223,15 @@ def search_triples(bound: int, jobs: int = 1,
     if jobs < 1:
         raise DomainError(f"jobs must be >= 1, got {jobs}")
     start = time.monotonic()
+    use_kernel, _ = census_path(bound, force_pure)
     r_max = isqrt(bound * (bound - 1) + 1) + 1
     if jobs == 1:
-        chunks = [(bound, 3, r_max, force_pure)]
+        chunks = [(bound, 3, r_max, use_kernel)]
         results = [_chunk_worker(chunks[0])]
     else:
         n_chunks = 4 * jobs
         step = max(1, (r_max - 3 + n_chunks - 1) // n_chunks)
-        chunks = [(bound, lo, min(lo + step, r_max), force_pure)
+        chunks = [(bound, lo, min(lo + step, r_max), use_kernel)
                   for lo in range(3, r_max, step)]
         with Pool(jobs) as pool:
             results = pool.map(_chunk_worker, chunks)

@@ -1,0 +1,48 @@
+import importlib.util
+import os
+import shutil
+import subprocess
+import sys
+import sysconfig
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(scope="session")
+def build_kernel(tmp_path_factory):
+    """A function that compiles the checkout's `_kernel.c` with the
+    checkout's `setup.py` into a temporary directory and imports it, with
+    C macros set from its keyword arguments.
+
+    Skipped only when no C compiler exists; a compiler that fails to build
+    the kernel is a test failure.
+    """
+    cc = sysconfig.get_config_var("CC")
+    if not cc or shutil.which(cc.split()[0]) is None:
+        pytest.skip("no C compiler to build the census kernel")
+
+    def build(**macros):
+        out = tmp_path_factory.mktemp("kernel")
+        env = dict(os.environ)
+        env["CFLAGS"] = " ".join([env.get("CFLAGS", "")] + [
+            f"-D{name}={value}" for name, value in macros.items()])
+        proc = subprocess.run(
+            [sys.executable, "setup.py", "build_ext", "--build-lib", str(out),
+             "--build-temp", str(out / "build")],
+            cwd=REPO, env=env, capture_output=True, text=True)
+        built = sorted(out.glob("foursq/_kernel.*"))
+        assert built, f"{cc} is present but the kernel did not build:\n{proc.stderr}"
+        spec = importlib.util.spec_from_file_location("foursq._kernel", built[0])
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+    return build
+
+
+@pytest.fixture(scope="session")
+def kernel(build_kernel):
+    """The census kernel as `setup.py` builds it."""
+    return build_kernel()

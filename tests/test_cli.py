@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from foursq.cli import main
+from foursq import search
+from foursq.cli import INDEX_CAP, main
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -124,6 +125,38 @@ def test_search_json_contains_section1(capsys):
     assert "triples" in err  # stats go to stderr, not stdout
 
 
+SEARCH_ARGV = ["search", "--max", "300", "--format", "json"]
+
+
+def test_search_reports_kernel_not_built(capsys, monkeypatch):
+    monkeypatch.setattr(search, "_kernel", None)
+    code, _, err = run_cli(capsys, *SEARCH_ARGV)
+    assert code == 0
+    assert err.splitlines()[0] == "search path: pure Python (kernel not built)"
+
+
+@pytest.mark.parametrize("extra,env,cap,line", [
+    ([], None, None, "kernel (compiled kernel loaded)"),
+    (["--pure"], None, None, "pure Python (--pure given)"),
+    ([], "1", None, "pure Python (FOURSQ_PURE is set)"),
+    ([], None, 299,
+     "pure Python (bound 300 exceeds KERNEL_MAX_BOUND 299)"),
+])
+def test_search_reports_path_and_reason(capsys, monkeypatch, kernel,
+                                        extra, env, cap, line):
+    monkeypatch.setattr(search, "_kernel", None)
+    _, pure_out, _ = run_cli(capsys, *SEARCH_ARGV)
+    monkeypatch.setattr(search, "_kernel", kernel)
+    if env is not None:
+        monkeypatch.setenv("FOURSQ_PURE", env)
+    if cap is not None:
+        monkeypatch.setattr(search, "KERNEL_MAX_BOUND", cap)
+    code, out, err = run_cli(capsys, *SEARCH_ARGV, *extra)
+    assert code == 0
+    assert err.splitlines()[0] == f"search path: {line}"
+    assert out == pure_out  # the path shows on stderr only
+
+
 def test_search_empty_and_usage(capsys):
     code, out, _ = run_cli(capsys, "search", "--max", "20", "--format", "json")
     assert code == 0
@@ -183,6 +216,51 @@ def test_seq_outputs(capsys):
     assert run_cli(capsys, "seq", "A", "1", "4")[1] == "6 23 86 321\n"
     assert run_cli(capsys, "seq", "R", "-4", "-1")[1] == "46 12 3 1\n"
     assert run_cli(capsys, "seq", "P", "0", "5")[1] == "0 1 4 15 56 209\n"
+
+
+@pytest.mark.parametrize("n", [-INDEX_CAP, INDEX_CAP])
+def test_gen_at_index_cap_round_trips_through_verify(capsys, n):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    before = limit()
+    code, out, _ = run_cli(capsys, "gen", str(n), str(n), "both",
+                           "--format", "json")
+    assert code == 0
+    assert limit() == before  # main restores the interpreter's digit limit
+    rows = json.loads(out)["payload"]["records"]
+    assert [r["variant"] for r in rows] == ["main", "companion"]
+    for rec in rows:
+        assert len(rec["c"]) > 4300
+        if rec["admissible"]:
+            code, out, _ = run_cli(capsys, "verify", rec["a"], rec["b"],
+                                   rec["c"])
+            assert code == 0
+            assert out.endswith(f" abc={rec['certificate']['abc']}\n")
+
+
+@pytest.mark.parametrize("name", ["P", "A", "R"])
+def test_seq_at_index_cap(capsys, name):
+    code, low, _ = run_cli(capsys, "seq", name, str(-INDEX_CAP), str(-INDEX_CAP))
+    assert code == 0
+    code, high, _ = run_cli(capsys, "seq", name, str(INDEX_CAP), str(INDEX_CAP))
+    assert code == 0
+    assert len(low.strip().lstrip("-")) > 4300
+    assert len(high.strip()) > 4300
+    if name == "P":  # P(-n) = -P(n)
+        assert low == "-" + high
+
+
+def test_verify_argument_over_4300_digits(capsys):
+    # a = k-1, b = k+1, c = 4k with k = 10^5000: ab+1, ac+1 and bc+1 are
+    # squares, abc+1 is not
+    a, b, c = "9" * 5000, "1" + "0" * 4999 + "1", "4" + "0" * 5000
+    code, out, _ = run_cli(capsys, "verify", a, b, c, "--format", "json")
+    assert code == 1
+    payload = json.loads(out)["payload"]
+    assert (payload["a"], payload["b"], payload["c"]) == (a, b, c)
+    assert payload["first_failure"] == "abc"
+    assert len(payload["failing_value"]) == 15001
+    code, out, _ = run_cli(capsys, "verify", a, b, c)
+    assert code == 1 and out.startswith(f"fail ({a},{b},{c}): abc+1=")
 
 
 def test_seq_usage_errors(capsys):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from foursq import (ConstructionError, NotDiophantinePair, conic_point,
@@ -6,6 +11,8 @@ from foursq import (ConstructionError, NotDiophantinePair, conic_point,
                     regular_complete, verify_four)
 from foursq.certify import Certificate, DomainError
 from foursq.sequences import ConicPoint
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("pt,expected", [
@@ -187,3 +194,40 @@ def test_degenerate_family_window():
         # a = 1 collapses the four conditions to three
         out = verify_four(1, b, c)
         assert out.ok
+
+
+OPTIMIZED_INVARIANTS = """
+import sys
+from foursq import family
+from foursq.family import ConstructionError
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+caught = []
+square_root = family.perfect_square_root
+cases = [
+    ("make_main", "poly_c", lambda pt: 7, lambda: family.make_main(1)),
+    ("regular_complete", "perfect_square_root", lambda v: square_root(v) + 1,
+     lambda: family.regular_complete(5, 7)),
+    ("degenerate_family", "perfect_square_root", lambda v: None,
+     lambda: family.degenerate_family(3)),
+]
+for name, attr, broken, call in cases:
+    original = getattr(family, attr)
+    setattr(family, attr, broken)
+    try:
+        call()
+    except ConstructionError:
+        caught.append(name)
+    setattr(family, attr, original)
+print(" ".join(caught))
+"""
+
+
+def test_invariant_checks_survive_python_O():
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_INVARIANTS],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [
+        "make_main", "regular_complete", "degenerate_family"]

@@ -2,9 +2,10 @@ import math
 
 import pytest
 
-from foursq import (DomainError, brute_oracle, find_pairs, kernel_loaded,
-                    make_companion, make_main, search_triples, verify_four)
-from foursq.search import (ORACLE_MAX_BOUND, divisors, factorize, spf_sieve,
+from foursq import (DomainError, brute_oracle, find_pairs, make_companion,
+                    make_main, search, search_triples, verify_four)
+from foursq.search import (KERNEL_MAX_BOUND, ORACLE_MAX_BOUND,
+                           _census_chunk_py, divisors, factorize, spf_sieve,
                            unit_square_roots)
 
 SECTION1 = [
@@ -100,14 +101,61 @@ def test_search_deterministic_across_jobs():
     assert lone.stats.candidates_tested == four.stats.candidates_tested
 
 
-@pytest.mark.skipif(not kernel_loaded(), reason="census kernel not built")
 @pytest.mark.parametrize("bound", [200, 2000, 10_000])
-def test_kernel_matches_pure_python(bound):
+def test_kernel_matches_pure_python(bound, kernel, monkeypatch):
+    monkeypatch.setattr(search, "_kernel", kernel)
     fast = search_triples(bound)
     pure = search_triples(bound, force_pure=True)
     assert fast.triples == pure.triples
     assert fast.stats.pairs_scanned == pure.stats.pairs_scanned
     assert fast.stats.candidates_tested == pure.stats.candidates_tested
+
+
+def _r_max(bound):
+    return math.isqrt(bound * (bound - 1) + 1) + 1
+
+
+def _sorted_chunk(chunk):
+    found, pairs, candidates = chunk
+    return sorted(found), pairs, candidates
+
+
+@pytest.mark.parametrize("bound", [3, 24, 200, 2000, 10_000])
+def test_kernel_chunk_equals_pure_chunk(bound, kernel):
+    # the same raw triples, in any order, and the same counters
+    assert (_sorted_chunk(kernel.census_chunk(bound, 3, _r_max(bound)))
+            == _sorted_chunk(_census_chunk_py(bound, 3, _r_max(bound))))
+
+
+def test_kernel_chunk_edges(kernel):
+    bound = 2000
+    edges = [-5, 0, 2, 3, 4, 47, 48, 1000, _r_max(bound) - 1, _r_max(bound),
+             _r_max(bound) + 50]
+    parts = []
+    for r_lo, r_hi in zip(edges, edges[1:]):
+        part = _sorted_chunk(kernel.census_chunk(bound, r_lo, r_hi))
+        assert part == _sorted_chunk(_census_chunk_py(bound, r_lo, r_hi)), (
+            r_lo, r_hi)
+        parts.append(part)
+    whole = _sorted_chunk(kernel.census_chunk(bound, edges[0], edges[-1]))
+    assert sorted(t for found, _, _ in parts for t in found) == whole[0]
+    assert sum(p for _, p, _ in parts) == whole[1]
+    assert sum(c for _, _, c in parts) == whole[2]
+    assert kernel.census_chunk(bound, 900, 800) == ([], 0, 0)
+
+
+def test_kernel_rejects_bounds_outside_its_range(kernel):
+    assert kernel.MAX_BOUND == KERNEL_MAX_BOUND
+    for bound in (-1, 2, kernel.MAX_BOUND + 1):
+        with pytest.raises(ValueError):
+            kernel.census_chunk(bound, 3, 10)
+
+
+@pytest.mark.parametrize("cap", ["MAX_FACTORS", "MAX_ROOTS", "MAX_DIVISORS"])
+def test_kernel_capacity_overflow_raises(build_kernel, cap):
+    small = build_kernel(**{cap: 2})
+    with pytest.raises(RuntimeError, match=cap):
+        small.census_chunk(2000, 3, _r_max(2000))
 
 
 def test_family_members_appear_in_census():
