@@ -52,6 +52,8 @@ def main(argv=None):
         if k_res is not None and p_res is not None:
             assert k_res.triples == p_res.triples, f"path mismatch at {bound}"
             assert k_res.stats.pairs_scanned == p_res.stats.pairs_scanned
+            assert (k_res.stats.candidates_tested
+                    == p_res.stats.candidates_tested)
         shown = k_res or p_res
         speedup = f"{p_t / k_t:6.1f}x" if (k_t and p_t) else "      -"
         print(f"{bound:>10}  {len(shown.triples):>7}  "

@@ -1,11 +1,20 @@
 /*
- * Compiled census kernel: the pair/congruence scan of
+ * Compiled census kernel: the pair and Pell-orbit scan of
  * search._census_chunk_py in 64-bit arithmetic, for bounds up to MAX_BOUND.
  *
  * census_chunk must return the same raw triples (in any order) and the same
  * counters as the pure path; the test suite enforces that equality.  Pairs
- * and unit roots are visited unsorted: sorting the roots alone cost a fifth
- * of the run time at bound 10^6.
+ * are visited unsorted, and the seeds of each pair's orbits are found by
+ * scanning s0 = 1..S directly instead of stepping over the unit roots mod a
+ * as the pure path does: the same seeds, without factoring a.
+ *
+ * Ranges for bound <= MAX_BOUND: r < b <= 1.5e6 and s_max <= 1.5e6, so
+ * ab < r^2 <= 2.25e12 and abc+1 < bound^3 < 2^63.  The orbit iterate
+ * (t, s) is signed (t starts at -t0 on one side).  An iterate with
+ * s <= s_max has |t| < s * sqrt(b/a), since a*t^2 = b*s^2 - (b-a); so the
+ * one step taken past s_max gives s' = a*t + r*s < 2*r*s_max and
+ * t' = r*t + b*s < (2*b + 1)*s_max, both below about 4.5e12, far under
+ * 2^63.
  *
  * Build: python setup.py build_ext --inplace
  */
@@ -25,24 +34,20 @@ typedef uint32_t u32;
 #define MAX_BOUND 1500000
 
 /* Capacities for bound <= MAX_BOUND, where r < 1.5e6 and r^2-1 < 2.25e12:
-   r-1, r+1 and a each have at most 7 distinct primes, r^2-1 has at most 11,
-   at most 6720 divisors, and a has at most 2^6 * 4 = 256 unit roots.  Every
-   write is still checked, and overflow raises instead of corrupting memory;
-   the tests build the kernel with tiny capacities to see that happen. */
+   r-1 and r+1 each have at most 7 distinct primes, r^2-1 has at most 11 and
+   at most 6720 divisors.  Every write is still checked, and overflow raises
+   instead of corrupting memory; the tests build the kernel with tiny
+   capacities to see that happen. */
 #ifndef MAX_FACTORS
 #define MAX_FACTORS 16
-#endif
-#ifndef MAX_ROOTS
-#define MAX_ROOTS 512
 #endif
 #ifndef MAX_DIVISORS
 #define MAX_DIVISORS 16384
 #endif
 
-enum { OK = 0, OVERFLOW_FACTORS, OVERFLOW_ROOTS, OVERFLOW_DIVISORS };
+enum { OK = 0, OVERFLOW_FACTORS, OVERFLOW_DIVISORS };
 
-static const char *overflow_names[] = {
-    NULL, "MAX_FACTORS", "MAX_ROOTS", "MAX_DIVISORS"};
+static const char *overflow_names[] = {NULL, "MAX_FACTORS", "MAX_DIVISORS"};
 
 /* Quadratic residues mod 64, 63, 65 and 11, as in certify._QR_MODULI. */
 static u64 qr64;
@@ -151,73 +156,6 @@ merge_factors(const u64 *p1, const int *e1, int k1,
     return k;
 }
 
-/* Inverse of x modulo m, for gcd(x, m) = 1. */
-static u64
-inv_mod(u64 x, u64 m)
-{
-    int64_t t = 0, newt = 1, r = (int64_t)m, newr = (int64_t)(x % m), q, tmp;
-    while (newr != 0) {
-        q = r / newr;
-        tmp = t - q * newt; t = newt; newt = tmp;
-        tmp = r - q * newr; r = newr; newr = tmp;
-    }
-    return (u64)(t < 0 ? t + (int64_t)m : t);
-}
-
-/* All t in [0, a) with t*t % a == 1, via CRT over the prime powers of a;
-   sets *count. */
-static int
-unit_roots(u64 a, const u32 *spf, u64 *out, int *count)
-{
-    u64 primes[MAX_FACTORS], local[4], lift[4];
-    int exps[MAX_FACTORS];
-    int nf, fi, e, nlocal, n = 1, oi, li, err;
-    u64 mod = 1;
-
-    out[0] = 0;
-    if ((err = factor(a, spf, primes, exps, &nf)) != OK)
-        return err;
-    for (fi = 0; fi < nf; fi++) {
-        u64 p = primes[fi], pe = 1, m, e_new, e_old;
-        for (e = 0; e < exps[fi]; e++)
-            pe *= p;
-        if (p != 2) {
-            local[0] = 1; local[1] = pe - 1; nlocal = 2;
-        } else if (pe == 2) {
-            local[0] = 1; nlocal = 1;
-        } else if (pe == 4) {
-            local[0] = 1; local[1] = 3; nlocal = 2;
-        } else {
-            local[0] = 1; local[1] = pe / 2 - 1;
-            local[2] = pe / 2 + 1; local[3] = pe - 1;
-            nlocal = 4;
-        }
-        if (n * nlocal > MAX_ROOTS)
-            return OVERFLOW_ROOTS;
-        /* CRT basis of Z/m, m = mod * pe: e_new == 1 (mod pe) and
-           == 0 (mod mod), e_old the other way round; z = res * e_old +
-           l * e_new solves z == res (mod mod), z == l (mod pe).  Entries
-           are expanded in place from the top, each read before its slot
-           is overwritten. */
-        m = mod * pe;
-        e_new = mod * inv_mod(mod % pe, pe);
-        e_old = (m + 1 - e_new) % m;
-        for (li = 0; li < nlocal; li++)
-            lift[li] = local[li] * e_new % m;
-        for (oi = n - 1; oi >= 0; oi--) {
-            u64 x = out[oi] * e_old % m;
-            for (li = 0; li < nlocal; li++) {
-                u64 z = x + lift[li];
-                out[oi * nlocal + li] = z >= m ? z - m : z;
-            }
-        }
-        n *= nlocal;
-        mod = m;
-    }
-    *count = n;
-    return OK;
-}
-
 /* Append (a, b, c, r_ab, r_ac, r_bc, r_abc) to found; -1 on error. */
 static int
 append_triple(PyObject *found, u64 a, u64 b, u64 c, u64 r, u64 s, u64 t,
@@ -235,7 +173,56 @@ append_triple(PyObject *found, u64 a, u64 b, u64 c, u64 r, u64 s, u64 t,
     return rc;
 }
 
-/* Walk the pairs with r in [r_lo, r_hi) and their candidates c, as in
+/* Follow the orbit of (t, s) under (t, s) <- (r*t + b*s, a*t + r*s) and
+   test c = (s^2-1)/a for each iterate with r < s <= s_max, as in
+   search.pell_orbit, which also says why the loop ends.  Returns 0, or -1
+   with a Python exception set. */
+static int
+follow_orbit(u64 a, u64 b, u64 r, u64 s_max, int64_t t, int64_t s,
+             PyObject *found, u64 *candidates)
+{
+    for (;;) {
+        int64_t t_next = (int64_t)r * t + (int64_t)b * s;
+        u64 c, t_bc, u;
+        s = (int64_t)a * t + (int64_t)r * s;
+        t = t_next;
+        if (t > 0 && s > (int64_t)s_max)
+            return 0;
+        if (s <= (int64_t)r || s > (int64_t)s_max)
+            continue;
+        (*candidates)++;
+        c = ((u64)s * (u64)s - 1) / a;
+        if (square_root(b * c + 1, &t_bc) && square_root(a * b * c + 1, &u)
+                && append_triple(found, a, b, c, r, (u64)s, t_bc, u) < 0)
+            return -1;
+    }
+}
+
+/* Test the seeds s0 <= S of the pair (a, b, r), those with
+   s0^2 == 1 (mod a), and follow the orbits of the ones with
+   b*(s0^2-1)/a + 1 = t0^2, as search.pell_orbit.  Returns 0, or -1 with a
+   Python exception set. */
+static int
+pell_orbit(u64 a, u64 b, u64 r, u64 s_max, PyObject *found, u64 *candidates)
+{
+    u64 seed_max = isqrt64(a * (b - a) / (2 * (r - 1)));
+    u64 s0, t0;
+
+    for (s0 = 1; s0 <= seed_max; s0++) {
+        if (s0 * s0 % a != 1)
+            continue;
+        (*candidates)++;
+        if (square_root(b * ((s0 * s0 - 1) / a) + 1, &t0)
+                && (follow_orbit(a, b, r, s_max, (int64_t)t0, (int64_t)s0,
+                                 found, candidates) < 0
+                    || follow_orbit(a, b, r, s_max, -(int64_t)t0,
+                                    (int64_t)s0, found, candidates) < 0))
+            return -1;
+    }
+    return 0;
+}
+
+/* Walk the pairs with r in [r_lo, r_hi) and the Pell orbits of each, as in
    search._census_chunk_py.  Returns OK, an OVERFLOW_* code, or -1 with a
    Python exception set. */
 static int
@@ -244,13 +231,12 @@ scan(u64 bound, u64 r_lo, u64 r_hi, const u32 *spf, u64 *divs,
 {
     u64 p1[MAX_FACTORS], p2[MAX_FACTORS], pm[2 * MAX_FACTORS];
     int e1[MAX_FACTORS], e2[MAX_FACTORS], em[2 * MAX_FACTORS];
-    u64 roots[MAX_ROOTS];
     u64 r;
     int err;
 
     for (r = r_lo; r < r_hi; r++) {
         u64 n = r * r - 1;
-        int k1, k2, km, nd = 1, fi, e, di, ri, nroots;
+        int k1, k2, km, nd = 1, fi, e, di;
 
         if ((r & 0xfff) == 0 && PyErr_CheckSignals() < 0)
             return -1;
@@ -276,32 +262,14 @@ scan(u64 bound, u64 r_lo, u64 r_hi, const u32 *spf, u64 *divs,
         }
         /* each divisor a with 2 <= a < n/a = b <= bound is a pair */
         for (di = 0; di < nd; di++) {
-            u64 a = divs[di], b, s_max, q;
+            u64 a = divs[di], b, s_max;
             if (a < 2 || a * a >= n || (b = n / a) > bound)
                 continue;
             s_max = isqrt64(a * bound + 1);
             (*pairs)++;
-            if (s_max <= r)
-                continue;
-            if ((err = unit_roots(a, spf, roots, &nroots)) != OK)
-                return err;
-            q = (r + 1) % a;
-            for (ri = 0; ri < nroots; ri++) {
-                /* first s > r with s == rho (mod a), i.e. r + 1 plus
-                   (rho - q) mod a; s > r forces c > b.  Stepping s by a
-                   steps c = (s^2-1)/a by 2s + a. */
-                u64 rho = roots[ri], s = r + 1 - q + rho + (rho < q ? a : 0);
-                u64 c, t, u;
-                if (s > s_max)
-                    continue;
-                for (c = (s * s - 1) / a; s <= s_max; c += 2 * s + a, s += a) {
-                    (*candidates)++;
-                    if (square_root(b * c + 1, &t)
-                            && square_root(a * b * c + 1, &u)
-                            && append_triple(found, a, b, c, r, s, t, u) < 0)
-                        return -1;
-                }
-            }
+            if (s_max > r
+                    && pell_orbit(a, b, r, s_max, found, candidates) < 0)
+                return -1;
         }
     }
     return OK;
@@ -341,7 +309,7 @@ census_chunk(PyObject *self, PyObject *args)
         r_lo = r_hi;
 
     found = PyList_New(0);
-    /* the scan factors r +- 1 and every a < r, all below r_hi + 1 */
+    /* the scan factors r - 1 and r + 1, both at most r_hi */
     spf = build_spf(r_hi + 1);
     divs = malloc(MAX_DIVISORS * sizeof(u64));
     if (found == NULL || spf == NULL || divs == NULL) {

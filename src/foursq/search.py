@@ -2,10 +2,13 @@
 
 Strategy: enumerate r upward and factor r^2-1 = (r-1)(r+1) through a
 smallest-prime-factor sieve to stream every pair 2 <= a < b <= bound with
-ab+1 = r^2.  For each pair, candidates for c come from the congruence
-s^2 = ac+1 == 1 (mod a): s walks the square roots of unity mod a, giving
-c = (s^2-1)/a directly, and only bc+1 / abc+1 still need square tests
-(mask-filtered).  A compiled kernel covers the same loop for bounds whose
+ab+1 = r^2.  For each pair, every c > b with ac+1 = s^2 and bc+1 = t^2
+solves the Pell-type equation a*t^2 - b*s^2 = a - b, whose solutions fall
+into orbits under the unit r + sqrt(ab).  Each orbit holds a small seed
+(Nagell's bound, see `pell_orbit`), so the census tests a handful of seeds
+per pair and follows their orbits up to the bound, square-testing bc+1
+(square by construction) and abc+1 on what they give (the tests are
+mask-filtered).  A compiled kernel covers the same scan for bounds whose
 arithmetic fits in 64 bits; the pure-Python path is the fallback and the
 reference for it.
 
@@ -162,6 +165,51 @@ def find_pairs(bound: int, spf: Optional[List[int]] = None,
                 yield a, b, r
 
 
+def pell_orbit(a: int, b: int, r: int, s_max: int,
+               roots: Tuple[int, ...]) -> Tuple[int, List[int]]:
+    """Seeds tested, and the s of every orbit iterate with r < s <= s_max,
+    for the pair (a, b, r) with ab+1 = r^2; `roots` are the square roots of
+    unity mod a.
+
+    Every c with ac+1 = s^2 and bc+1 = t^2 solves a*t^2 - b*s^2 = a - b, and
+    c > b, c <= bound mean r < s <= s_max = isqrt(a*bound+1).  Multiplied by
+    a this is (at)^2 - ab*s^2 = -a(b-a); the step
+    (t, s) <- (r*t + b*s, a*t + r*s) is multiplication by the norm-1 unit
+    r + sqrt(ab), and each orbit of solutions under it (with its conjugate)
+    holds a seed with 1 <= s0 <= sqrt(a(b-a) / (2(r-1))) (T. Nagell,
+    Introduction to Number Theory, 1951, Thm 108a; Dujella and Petho,
+    Quart. J. Math. 49, 1998).  A seed has s0^2 == 1 (mod a), and it is one
+    exactly when b*c0+1 = t0^2 for c0 = (s0^2-1)/a; both (t0, s0) and
+    (-t0, s0) are followed.  Seeds have s0 < r, so none is a candidate.
+
+    Termination: one step from either seed gives t > 0 and s > 0 (from
+    (-t0, s0) because s0 is within the bound above, which makes
+    r*t0 < b*s0 and a*t0 < r*s0).  From then on each step adds positive
+    terms, so s strictly increases, and the first iterate with t > 0 and
+    s > s_max ends the orbit: every later one is larger still.
+
+    Every returned s has bc+1 square by construction; the caller still tests
+    it, and abc+1.
+    """
+    seed_max = isqrt(a * (b - a) // (2 * (r - 1)))
+    seeds = 0
+    found = []
+    for rho in roots:
+        for s0 in range(rho, seed_max + 1, a):
+            seeds += 1
+            t0 = perfect_square_root(b * ((s0 * s0 - 1) // a) + 1)
+            if t0 is None:
+                continue
+            for t, s in ((t0, s0), (-t0, s0)):
+                while True:
+                    t, s = r * t + b * s, a * t + r * s
+                    if t > 0 and s > s_max:
+                        break
+                    if r < s <= s_max:
+                        found.append(s)
+    return seeds, found
+
+
 def _census_chunk_py(bound: int, r_lo: int, r_hi: int,
                      spf: Optional[List[int]] = None
                      ) -> Tuple[List[Tuple[int, ...]], int, int]:
@@ -169,7 +217,8 @@ def _census_chunk_py(bound: int, r_lo: int, r_hi: int,
 
     Raw triples are (a, b, c, r_ab, r_ac, r_bc, r_abc) tuples.  The compiled
     kernel returns the same tuples, possibly in another order, and the same
-    counters.
+    counters: pairs scanned, and candidates tested (seeds tested plus orbit
+    iterates tested).
     """
     if spf is None:
         spf = spf_sieve(max(r_hi, bound + 1, 3))
@@ -186,20 +235,15 @@ def _census_chunk_py(bound: int, r_lo: int, r_hi: int,
         if roots is None:
             roots = unit_square_roots(a, spf)
             roots_cache[a] = roots
-        for rho in roots:
-            # first s > r with s == rho (mod a); s > r forces c > b
-            s = r + 1 + (rho - r - 1) % a
-            while s <= s_max:
-                candidates += 1
-                c = (s * s - 1) // a
-                if c > bound:
-                    break
-                t = perfect_square_root(b * c + 1)
-                if t is not None:
-                    u = perfect_square_root(a * b * c + 1)
-                    if u is not None:
-                        found.append((a, b, c, r, s, t, u))
-                s += a
+        seeds, orbit = pell_orbit(a, b, r, s_max, roots)
+        candidates += seeds + len(orbit)
+        for s in orbit:
+            c = (s * s - 1) // a
+            t = perfect_square_root(b * c + 1)
+            if t is not None:
+                u = perfect_square_root(a * b * c + 1)
+                if u is not None:
+                    found.append((a, b, c, r, s, t, u))
     return found, pairs, candidates
 
 

@@ -15,7 +15,8 @@ REPO = Path(__file__).resolve().parent.parent
 def build_kernel(tmp_path_factory):
     """A function that compiles the checkout's `_kernel.c` with the
     checkout's `setup.py` into a temporary directory and imports it, with
-    C macros set from its keyword arguments.
+    extra compiler flags from its positional arguments and C macros set from
+    its keyword arguments.
 
     Skipped only when no C compiler exists; a compiler that fails to build
     the kernel is a test failure.
@@ -24,10 +25,10 @@ def build_kernel(tmp_path_factory):
     if not cc or shutil.which(cc.split()[0]) is None:
         pytest.skip("no C compiler to build the census kernel")
 
-    def build(**macros):
+    def build(*flags, **macros):
         out = tmp_path_factory.mktemp("kernel")
         env = dict(os.environ)
-        env["CFLAGS"] = " ".join([env.get("CFLAGS", "")] + [
+        env["CFLAGS"] = " ".join([env.get("CFLAGS", ""), *flags] + [
             f"-D{name}={value}" for name, value in macros.items()])
         proc = subprocess.run(
             [sys.executable, "setup.py", "build_ext", "--build-lib", str(out),

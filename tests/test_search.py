@@ -5,8 +5,8 @@ import pytest
 from foursq import (DomainError, brute_oracle, find_pairs, make_companion,
                     make_main, search, search_triples, verify_four)
 from foursq.search import (KERNEL_MAX_BOUND, ORACLE_MAX_BOUND,
-                           _census_chunk_py, divisors, factorize, spf_sieve,
-                           unit_square_roots)
+                           _census_chunk_py, divisors, factorize, pell_orbit,
+                           spf_sieve, unit_square_roots)
 
 SECTION1 = [
     (5, 7, 24), (8, 45, 91), (8, 105, 171), (3, 133, 176), (11, 105, 184),
@@ -56,6 +56,44 @@ def test_find_pairs_matches_double_loop_oracle(bound):
             if r * r == a * b + 1:
                 want.add((a, b, r))
     assert set(find_pairs(bound)) == want
+
+
+def test_pell_orbit_finds_every_c_of_a_pair():
+    # the seeds and orbits of each pair give exactly the c > b up to the
+    # bound with ac+1 and bc+1 square, checked against a scan of every c
+    bound = 3000
+    spf = spf_sieve(bound)
+    squares = {k * k for k in range(math.isqrt(200 * bound + 1) + 1)}
+    pairs = list(find_pairs(200))
+    assert len(pairs) == 547
+    for a, b, r in pairs:
+        s_max = math.isqrt(a * bound + 1)
+        _, orbit = pell_orbit(a, b, r, s_max, unit_square_roots(a, spf))
+        assert all(r < s <= s_max and (s * s - 1) % a == 0 for s in orbit)
+        want = {c for c in range(b + 1, bound + 1)
+                if a * c + 1 in squares and b * c + 1 in squares}
+        assert {(s * s - 1) // a for s in orbit} == want, (a, b, r)
+
+
+def test_pell_orbit_seeds_step_to_positive_increasing_iterates():
+    # the termination argument of pell_orbit: every seed is below r, one
+    # step from (t0, s0) or (-t0, s0) makes t and s positive, and from then
+    # on s strictly increases
+    for a, b, r in find_pairs(1000):
+        seed_max = math.isqrt(a * (b - a) // (2 * (r - 1)))
+        assert 1 <= seed_max < r
+        for s0 in range(1, seed_max + 1):
+            if (s0 * s0 - 1) % a:
+                continue
+            t0 = math.isqrt(b * ((s0 * s0 - 1) // a) + 1)
+            if t0 * t0 != b * ((s0 * s0 - 1) // a) + 1:
+                continue
+            for t, s in ((t0, s0), (-t0, s0)):
+                t, s = r * t + b * s, a * t + r * s
+                assert t > 0 and s > 0, (a, b, r, s0)
+                for _ in range(3):
+                    t, s, last = r * t + b * s, a * t + r * s, s
+                    assert t > 0 and s > last, (a, b, r, s0)
 
 
 def test_search_small_censuses():
@@ -151,11 +189,15 @@ def test_kernel_rejects_bounds_outside_its_range(kernel):
             kernel.census_chunk(bound, 3, 10)
 
 
-@pytest.mark.parametrize("cap", ["MAX_FACTORS", "MAX_ROOTS", "MAX_DIVISORS"])
+@pytest.mark.parametrize("cap", ["MAX_FACTORS", "MAX_DIVISORS"])
 def test_kernel_capacity_overflow_raises(build_kernel, cap):
     small = build_kernel(**{cap: 2})
     with pytest.raises(RuntimeError, match=cap):
         small.census_chunk(2000, 3, _r_max(2000))
+
+
+def test_kernel_compiles_without_warnings(build_kernel):
+    assert build_kernel("-Wall", "-Werror").MAX_BOUND == KERNEL_MAX_BOUND
 
 
 def test_family_members_appear_in_census():
