@@ -2,7 +2,8 @@
 """Benchmark the census: compiled kernel vs pure-Python fallback.
 
 Both paths must return identical triples and counters; the benchmark
-asserts that before reporting timings.
+asserts that before reporting timings.  Each row shows the triple count,
+pairs scanned and candidates tested next to the times.
 
     python benchmarks/bench_search.py
     python benchmarks/bench_search.py --bounds 10000 100000 1000000 --jobs 4
@@ -38,7 +39,8 @@ def main(argv=None):
               "      build it with: python setup.py build_ext --inplace",
               file=sys.stderr)
 
-    header = f"{'bound':>10}  {'triples':>7}  {'kernel':>9}  {'pure':>9}  {'speedup':>7}"
+    header = (f"{'bound':>10}  {'triples':>7}  {'pairs':>10}  {'candidates':>11}"
+              f"  {'kernel':>9}  {'pure':>9}  {'speedup':>7}")
     print(header)
     print("-" * len(header))
     for bound in args.bounds:
@@ -57,6 +59,8 @@ def main(argv=None):
         shown = k_res or p_res
         speedup = f"{p_t / k_t:6.1f}x" if (k_t and p_t) else "      -"
         print(f"{bound:>10}  {len(shown.triples):>7}  "
+              f"{shown.stats.pairs_scanned:>10}  "
+              f"{shown.stats.candidates_tested:>11}  "
               f"{f'{k_t:8.3f}s' if k_t is not None else '        -'}  "
               f"{f'{p_t:8.3f}s' if p_t is not None else '        -'}  {speedup}")
     return 0

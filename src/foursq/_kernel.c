@@ -5,11 +5,18 @@
  * census_chunk must return the same raw triples (in any order) and the same
  * counters as the pure path; the test suite enforces that equality.  Pairs
  * are visited unsorted, and the seeds of each pair's orbits are found by
- * scanning s0 = 1..S directly instead of stepping over the unit roots mod a
- * as the pure path does: the same seeds, without factoring a.
+ * scanning c0 = (s0^2-1)/a directly (see pell_orbit) instead of stepping
+ * over the unit roots mod a as the pure path does: the same seeds, without
+ * factoring a.
+ *
+ * S >= 1 for every pair: ab+1 = r^2 rules out b = a+1, so b >= a+2, and
+ * then r <= (a+b)/2, so a(b-a) - 2(r-1) >= (a-1)(b-a-2) >= 0.  Hence
+ * C = (S^2-1)/a never wraps.
  *
  * Ranges for bound <= MAX_BOUND: r < b <= 1.5e6 and s_max <= 1.5e6, so
- * ab < r^2 <= 2.25e12 and abc+1 < bound^3 < 2^63.  The orbit iterate
+ * ab < r^2 <= 2.25e12 and abc+1 < bound^3 < 2^63.  With r >= 3 the seed
+ * scan's a*c0 + 1 <= S^2 <= a(b-a)/4 <= b^2/16 < 1.5e11 and
+ * b*c0 + 1 <= b(b-a)/(2(r-1)) + 1 <= b^2/4 + 1 < 5.7e11.  The orbit iterate
  * (t, s) is signed (t starts at -t0 on one side).  An iterate with
  * s <= s_max has |t| < s * sqrt(b/a), since a*t^2 = b*s^2 - (b-a); so the
  * one step taken past s_max gives s' = a*t + r*s < 2*r*s_max and
@@ -200,19 +207,23 @@ follow_orbit(u64 a, u64 b, u64 r, u64 s_max, int64_t t, int64_t s,
 
 /* Test the seeds s0 <= S of the pair (a, b, r), those with
    s0^2 == 1 (mod a), and follow the orbits of the ones with
-   b*(s0^2-1)/a + 1 = t0^2, as search.pell_orbit.  Returns 0, or -1 with a
-   Python exception set. */
+   b*c0 + 1 = t0^2, c0 = (s0^2-1)/a, as search.pell_orbit.  The seeds are
+   found by scanning c0 = 0..C, C = (S^2-1)/a, for a square a*c0 + 1 = s0^2:
+   C+1 tests, most rejected by the residue masks, where s0 = 1..S would take
+   S.  c0 and s0 rise together, so the seeds come in ascending order.
+   Returns 0, or -1 with a Python exception set. */
 static int
 pell_orbit(u64 a, u64 b, u64 r, u64 s_max, PyObject *found, u64 *candidates)
 {
     u64 seed_max = isqrt64(a * (b - a) / (2 * (r - 1)));
-    u64 s0, t0;
+    u64 c0_max = (seed_max * seed_max - 1) / a;
+    u64 s0, c0, t0;
 
-    for (s0 = 1; s0 <= seed_max; s0++) {
-        if (s0 * s0 % a != 1)
+    for (c0 = 0; c0 <= c0_max; c0++) {
+        if (!square_root(a * c0 + 1, &s0))
             continue;
         (*candidates)++;
-        if (square_root(b * ((s0 * s0 - 1) / a) + 1, &t0)
+        if (square_root(b * c0 + 1, &t0)
                 && (follow_orbit(a, b, r, s_max, (int64_t)t0, (int64_t)s0,
                                  found, candidates) < 0
                     || follow_orbit(a, b, r, s_max, -(int64_t)t0,

@@ -96,6 +96,20 @@ def test_pell_orbit_seeds_step_to_positive_increasing_iterates():
                     assert t > 0 and s > last, (a, b, r, s0)
 
 
+def test_seed_scans_over_s0_and_c0_agree():
+    # the kernel scans c0 for its seeds, the pure path s0: every pair has
+    # S >= 1, and the s0 with a*c0+1 = s0^2 for c0 <= (S^2-1)/a are exactly
+    # the s0 <= S with s0^2 == 1 (mod a), in the same order
+    for a, b, r in find_pairs(2000):
+        seed_max = math.isqrt(a * (b - a) // (2 * (r - 1)))
+        assert seed_max >= 1, (a, b, r)
+        by_s0 = [s0 for s0 in range(1, seed_max + 1) if s0 * s0 % a == 1]
+        by_c0 = [math.isqrt(a * c0 + 1)
+                 for c0 in range((seed_max * seed_max - 1) // a + 1)
+                 if math.isqrt(a * c0 + 1) ** 2 == a * c0 + 1]
+        assert by_c0 == by_s0, (a, b, r)
+
+
 def test_search_small_censuses():
     assert search_triples(20).triples == []
     assert [t[:3] for t in search_triples(24).triples] == [(5, 7, 24)]
@@ -163,6 +177,20 @@ def test_kernel_chunk_equals_pure_chunk(bound, kernel):
     # the same raw triples, in any order, and the same counters
     assert (_sorted_chunk(kernel.census_chunk(bound, 3, _r_max(bound)))
             == _sorted_chunk(_census_chunk_py(bound, 3, _r_max(bound))))
+
+
+@pytest.mark.parametrize("bound,triples,pairs,candidates", [
+    (200_000, 25, 1_398_856, 2_140_201),
+    (1_000_000, 27, 7_973_991, 12_114_814),
+])
+def test_kernel_census_counts_past_the_pure_path(kernel, bound, triples,
+                                                 pairs, candidates):
+    # golden counts at bounds the pure path takes minutes to reach, where
+    # no parity test can catch a kernel that drifts
+    found, got_pairs, got_candidates = kernel.census_chunk(bound, 3,
+                                                           _r_max(bound))
+    assert len({t[:3] for t in found}) == triples
+    assert (got_pairs, got_candidates) == (pairs, candidates)
 
 
 def test_kernel_chunk_edges(kernel):
