@@ -23,6 +23,13 @@
  * t' = r*t + b*s < (2*b + 1)*s_max, both below about 4.5e12, far under
  * 2^63.
  *
+ * Threads: census_chunk releases the GIL for the sieve and the whole scan,
+ * and takes it back only to append a found triple (rare) and for the
+ * signal check every 4096 r.  The kernel is reentrant: each call owns its
+ * sieve, divisor buffer and result list, and the residue masks are written
+ * once in PyInit__kernel and only read after that.  So census_chunk calls
+ * on several threads run in parallel (search.search_triples with jobs > 1).
+ *
  * Build: python setup.py build_ext --inplace
  */
 
@@ -52,7 +59,7 @@ typedef uint32_t u32;
 #define MAX_DIVISORS 16384
 #endif
 
-enum { OK = 0, OVERFLOW_FACTORS, OVERFLOW_DIVISORS };
+enum { OK = 0, OVERFLOW_FACTORS, OVERFLOW_DIVISORS, OUT_OF_MEMORY };
 
 static const char *overflow_names[] = {NULL, "MAX_FACTORS", "MAX_DIVISORS"};
 
@@ -163,20 +170,33 @@ merge_factors(const u64 *p1, const int *e1, int k1,
     return k;
 }
 
-/* Append (a, b, c, r_ab, r_ac, r_bc, r_abc) to found; -1 on error. */
+/* Append (a, b, c, r_ab, r_ac, r_bc, r_abc) to found; -1 on error.
+   Called without the GIL, and holds it only for the append. */
 static int
 append_triple(PyObject *found, u64 a, u64 b, u64 c, u64 r, u64 s, u64 t,
               u64 u)
 {
-    int rc;
+    int rc = -1;
+    PyGILState_STATE gil = PyGILState_Ensure();
     PyObject *item = Py_BuildValue("(KKKKKKK)", (unsigned long long)a,
                                    (unsigned long long)b, (unsigned long long)c,
                                    (unsigned long long)r, (unsigned long long)s,
                                    (unsigned long long)t, (unsigned long long)u);
-    if (item == NULL)
-        return -1;
-    rc = PyList_Append(found, item);
-    Py_DECREF(item);
+    if (item != NULL) {
+        rc = PyList_Append(found, item);
+        Py_DECREF(item);
+    }
+    PyGILState_Release(gil);
+    return rc;
+}
+
+/* PyErr_CheckSignals from code running without the GIL. */
+static int
+check_signals(void)
+{
+    PyGILState_STATE gil = PyGILState_Ensure();
+    int rc = PyErr_CheckSignals();
+    PyGILState_Release(gil);
     return rc;
 }
 
@@ -234,8 +254,8 @@ pell_orbit(u64 a, u64 b, u64 r, u64 s_max, PyObject *found, u64 *candidates)
 }
 
 /* Walk the pairs with r in [r_lo, r_hi) and the Pell orbits of each, as in
-   search._census_chunk_py.  Returns OK, an OVERFLOW_* code, or -1 with a
-   Python exception set. */
+   search._census_chunk_py.  Runs without the GIL.  Returns OK, an
+   OVERFLOW_* code, or -1 with a Python exception set. */
 static int
 scan(u64 bound, u64 r_lo, u64 r_hi, const u32 *spf, u64 *divs,
      PyObject *found, u64 *pairs, u64 *candidates)
@@ -249,7 +269,7 @@ scan(u64 bound, u64 r_lo, u64 r_hi, const u32 *spf, u64 *divs,
         u64 n = r * r - 1;
         int k1, k2, km, nd = 1, fi, e, di;
 
-        if ((r & 0xfff) == 0 && PyErr_CheckSignals() < 0)
+        if ((r & 0xfff) == 0 && check_signals() < 0)
             return -1;
         if ((err = factor(r - 1, spf, p1, e1, &k1)) != OK
                 || (err = factor(r + 1, spf, p2, e2, &k2)) != OK)
@@ -291,9 +311,9 @@ census_chunk(PyObject *self, PyObject *args)
 {
     long long bound_in, r_lo_in, r_hi_in;
     u64 bound, r_lo, r_hi, r_max, pairs = 0, candidates = 0;
-    u32 *spf = NULL;
-    u64 *divs = NULL;
-    PyObject *found = NULL;
+    u32 *spf;
+    u64 *divs;
+    PyObject *found;
     int err;
 
     if (!PyArg_ParseTuple(args, "LLL:census_chunk", &bound_in, &r_lo_in,
@@ -320,31 +340,30 @@ census_chunk(PyObject *self, PyObject *args)
         r_lo = r_hi;
 
     found = PyList_New(0);
+    if (found == NULL)
+        return NULL;
+    err = OUT_OF_MEMORY;
+    Py_BEGIN_ALLOW_THREADS
     /* the scan factors r - 1 and r + 1, both at most r_hi */
     spf = build_spf(r_hi + 1);
     divs = malloc(MAX_DIVISORS * sizeof(u64));
-    if (found == NULL || spf == NULL || divs == NULL) {
-        if (found != NULL)
-            PyErr_NoMemory();
-        goto fail;
-    }
-    err = scan(bound, r_lo, r_hi, spf, divs, found, &pairs, &candidates);
-    if (err > 0)
+    if (spf != NULL && divs != NULL)
+        err = scan(bound, r_lo, r_hi, spf, divs, found, &pairs, &candidates);
+    Py_END_ALLOW_THREADS
+    free(divs);
+    free(spf);
+    if (err == OUT_OF_MEMORY)
+        PyErr_NoMemory();
+    else if (err > 0)
         PyErr_Format(PyExc_RuntimeError,
                      "census kernel capacity %s exceeded at bound %llu",
                      overflow_names[err], (unsigned long long)bound);
-    if (err != OK)
-        goto fail;
-    free(divs);
-    free(spf);
+    if (err != OK) {
+        Py_DECREF(found);
+        return NULL;
+    }
     return Py_BuildValue("(NKK)", found, (unsigned long long)pairs,
                          (unsigned long long)candidates);
-
-fail:
-    free(divs);
-    free(spf);
-    Py_XDECREF(found);
-    return NULL;
 }
 
 static PyMethodDef kernel_methods[] = {

@@ -245,7 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="exhaustive census up to a bound")
     p.add_argument("--max", type=int, required=True, help="upper bound for c")
     p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (default $FOURSQ_JOBS or 1)")
+                   help="parallel workers (default $FOURSQ_JOBS or 1)")
     p.add_argument("--oracle", action="store_true",
                    help=f"cross-check against the brute-force reference "
                         f"(bound <= {ORACLE_MAX_BOUND})")

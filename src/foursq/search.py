@@ -18,7 +18,9 @@ full scan of c, never sharing code with the fast path.
 
 import math
 import os
+import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 from multiprocessing import Pool
 from typing import Iterator, List, Optional, Tuple
@@ -254,13 +256,73 @@ def _chunk_worker(args) -> Tuple[List[Tuple[int, ...]], int, int]:
     return _census_chunk_py(bound, r_lo, r_hi)
 
 
+def _chunk_plan(bound: int, jobs: int, use_kernel: bool) -> List[tuple]:
+    """The `_chunk_worker` arguments of a census: the whole r-range for one
+    job, else about 4*jobs disjoint r-ranges (never more than r-values)."""
+    r_max = isqrt(bound * (bound - 1) + 1) + 1
+    if jobs == 1:
+        return [(bound, 3, r_max, use_kernel)]
+    n_chunks = 4 * jobs
+    step = max(1, (r_max - 3 + n_chunks - 1) // n_chunks)
+    return [(bound, lo, min(lo + step, r_max), use_kernel)
+            for lo in range(3, r_max, step)]
+
+
+def _map_on_threads(chunks: List[tuple], workers: int) -> list:
+    """`_chunk_worker` over kernel chunks on `workers` threads, results in
+    chunk order.  The kernel releases the GIL while it scans, so the threads
+    run in parallel; pure chunks hold the GIL and go to a process pool
+    instead.
+
+    The threads take chunk indices from a shared queue.  The first exception
+    a thread raises is raised here; it, or an interrupt of the caller (say
+    Ctrl-C while waiting), empties the queue, so the threads stop after
+    their current chunk.  They are daemons, so interpreter exit does not
+    wait on them.
+    """
+    results: list = [None] * len(chunks)
+    errors: List[BaseException] = []
+    pending = deque(range(len(chunks)))
+    lock = threading.Lock()
+
+    def work():
+        while True:
+            with lock:
+                if not pending:
+                    return
+                i = pending.popleft()
+            try:
+                results[i] = _chunk_worker(chunks[i])
+            except BaseException as exc:  # handed to the caller
+                with lock:
+                    errors.append(exc)
+                    pending.clear()
+                return
+
+    threads = [threading.Thread(target=work, name=f"foursq-census-{k}",
+                                daemon=True)
+               for k in range(workers)]
+    for thread in threads:
+        thread.start()
+    try:
+        for thread in threads:
+            thread.join()
+    finally:
+        with lock:
+            pending.clear()
+    if errors:
+        raise errors[0]
+    return results
+
+
 def search_triples(bound: int, jobs: int = 1,
                    force_pure: bool = False) -> SearchResult:
     """Every (a, b, c) with 1 < a < b < c <= bound and all four of ab+1,
     ac+1, bc+1, abc+1 perfect squares, sorted by (c, b, a) with certificates.
 
-    Deterministic regardless of `jobs`: workers cover disjoint r-ranges and
-    the merged output is sorted and deduplicated.
+    Deterministic regardless of `jobs`: workers (threads on the kernel path,
+    processes on the pure path) cover disjoint r-ranges and the merged
+    output is sorted and deduplicated.
     """
     if bound < 3:
         raise DomainError(f"search needs bound >= 3, got {bound}")
@@ -268,16 +330,14 @@ def search_triples(bound: int, jobs: int = 1,
         raise DomainError(f"jobs must be >= 1, got {jobs}")
     start = time.monotonic()
     use_kernel, _ = census_path(bound, force_pure)
-    r_max = isqrt(bound * (bound - 1) + 1) + 1
-    if jobs == 1:
-        chunks = [(bound, 3, r_max, use_kernel)]
-        results = [_chunk_worker(chunks[0])]
+    chunks = _chunk_plan(bound, jobs, use_kernel)
+    workers = min(jobs, len(chunks))
+    if workers <= 1:
+        results = [_chunk_worker(chunk) for chunk in chunks]
+    elif use_kernel:
+        results = _map_on_threads(chunks, workers)
     else:
-        n_chunks = 4 * jobs
-        step = max(1, (r_max - 3 + n_chunks - 1) // n_chunks)
-        chunks = [(bound, lo, min(lo + step, r_max), use_kernel)
-                  for lo in range(3, r_max, step)]
-        with Pool(jobs) as pool:
+        with Pool(workers) as pool:
             results = pool.map(_chunk_worker, chunks)
     raw = []
     pairs = candidates = 0

@@ -1,12 +1,17 @@
 import math
+import os
+import signal
+import sys
+import threading
+import time
 
 import pytest
 
 from foursq import (DomainError, brute_oracle, find_pairs, make_companion,
                     make_main, search, search_triples, verify_four)
 from foursq.search import (KERNEL_MAX_BOUND, ORACLE_MAX_BOUND,
-                           _census_chunk_py, divisors, factorize, pell_orbit,
-                           spf_sieve, unit_square_roots)
+                           _census_chunk_py, _chunk_plan, divisors, factorize,
+                           pell_orbit, spf_sieve, unit_square_roots)
 
 SECTION1 = [
     (5, 7, 24), (8, 45, 91), (8, 105, 171), (3, 133, 176), (11, 105, 184),
@@ -217,15 +222,127 @@ def test_kernel_rejects_bounds_outside_its_range(kernel):
             kernel.census_chunk(bound, 3, 10)
 
 
+def _use_kernel(monkeypatch, kernel):
+    """Route search_triples through `kernel`, so the threaded path runs
+    even where no kernel is built in place; the kernel path must start no
+    process pool."""
+    def no_pool(*args, **kwargs):
+        raise AssertionError("kernel chunks went to a process pool")
+    monkeypatch.setattr(search, "_kernel", kernel)
+    monkeypatch.setattr(search, "Pool", no_pool)
+    monkeypatch.delenv("FOURSQ_PURE", raising=False)
+
+
 @pytest.mark.parametrize("cap", ["MAX_FACTORS", "MAX_DIVISORS"])
-def test_kernel_capacity_overflow_raises(build_kernel, cap):
+def test_kernel_capacity_overflow_raises(build_kernel, cap, monkeypatch):
     small = build_kernel(**{cap: 2})
     with pytest.raises(RuntimeError, match=cap):
         small.census_chunk(2000, 3, _r_max(2000))
+    # the error of a chunk on a worker thread reaches the caller
+    _use_kernel(monkeypatch, small)
+    with pytest.raises(RuntimeError, match=cap):
+        search_triples(2000, jobs=2)
 
 
 def test_kernel_compiles_without_warnings(build_kernel):
     assert build_kernel("-Wall", "-Werror").MAX_BOUND == KERNEL_MAX_BOUND
+
+
+def test_kernel_releases_the_gil_while_it_scans(kernel):
+    bound = 200_000
+    window = []
+
+    def census():
+        start = time.perf_counter()
+        kernel.census_chunk(bound, 3, _r_max(bound))
+        window.extend((start, time.perf_counter()))
+
+    worker = threading.Thread(target=census)
+    ticks = []
+    worker.start()
+    while worker.is_alive():
+        ticks.append(time.perf_counter())
+        time.sleep(0.002)
+    worker.join(timeout=60)
+    assert not worker.is_alive() and len(window) == 2
+    # a kernel that held the GIL would let this thread tick once at most
+    # between entering and leaving the call
+    start, end = window
+    assert sum(start < tick < end for tick in ticks) >= 10
+
+
+@pytest.mark.parametrize("jobs", [2, 3, 4])
+def test_threaded_kernel_census_equals_one_job(jobs, kernel, monkeypatch):
+    _use_kernel(monkeypatch, kernel)
+    lone = search_triples(20_000)
+    # more threads than cores, switching as often as the interpreter can:
+    # a chunk lost or stored twice changes the counters
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        many = search_triples(20_000, jobs=jobs)
+    finally:
+        sys.setswitchinterval(interval)
+    assert many.triples == lone.triples
+    assert many.stats.pairs_scanned == lone.stats.pairs_scanned
+    assert many.stats.candidates_tested == lone.stats.candidates_tested
+
+
+def test_threaded_kernel_census_golden_counts(kernel, monkeypatch):
+    _use_kernel(monkeypatch, kernel)
+    result = search_triples(200_000, jobs=2)
+    assert len(result.triples) == 25
+    assert result.stats.pairs_scanned == 1_398_856
+    assert result.stats.candidates_tested == 2_140_201
+
+
+def test_pure_census_on_processes_equals_one_job():
+    lone = search_triples(750, jobs=1, force_pure=True)
+    four = search_triples(750, jobs=4, force_pure=True)
+    assert lone.triples == four.triples
+    assert lone.stats.pairs_scanned == four.stats.pairs_scanned
+    assert lone.stats.candidates_tested == four.stats.candidates_tested
+
+
+def test_interrupt_stops_a_threaded_census(kernel, monkeypatch):
+    _use_kernel(monkeypatch, kernel)
+    started = []
+    chunk_worker = search._chunk_worker
+
+    def counted(args):
+        started.append(args)
+        return chunk_worker(args)
+    monkeypatch.setattr(search, "_chunk_worker", counted)
+    bound = 1_500_000
+    timer = threading.Timer(0.2, os.kill, (os.getpid(), signal.SIGINT))
+    timer.start()
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            search_triples(bound, jobs=2)
+    finally:
+        timer.cancel()
+    # the caller did not wait for the chunks still running
+    census = [thread for thread in threading.enumerate()
+              if thread.name.startswith("foursq-census")]
+    assert census and all(thread.daemon for thread in census)
+    # and the threads take no further chunk
+    for thread in census:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in census)
+    assert len(started) < len(_chunk_plan(bound, 2, True))
+
+
+@pytest.mark.parametrize("bound,jobs", [
+    (3, 2), (4, 2), (24, 4), (750, 3), (50_000, 2), (100, 10**9)])
+def test_chunk_plan_tiles_the_r_range(bound, jobs):
+    # one worker per chunk at most, so the plan bounds the threads or
+    # processes a census starts, whatever --jobs says
+    chunks = _chunk_plan(bound, jobs, True)
+    assert len(chunks) <= min(4 * jobs, _r_max(bound) - 3)
+    edges = [3] + [r_hi for _, _, r_hi, _ in chunks]
+    assert [r_lo for _, r_lo, _, _ in chunks] == edges[:-1]
+    assert edges[-1] == _r_max(bound)
+    assert all(lo < hi for lo, hi in zip(edges, edges[1:]))
 
 
 def test_family_members_appear_in_census():
