@@ -3,11 +3,10 @@
  * search._census_chunk_py in 64-bit arithmetic, for bounds up to MAX_BOUND.
  *
  * census_chunk must return the same raw triples (in any order) and the same
- * counters as the pure path; the test suite enforces that equality.  Pairs
- * are visited unsorted, and the seeds of each pair's orbits are found by
- * scanning c0 = (s0^2-1)/a directly (see pell_orbit) instead of stepping
- * over the unit roots mod a as the pure path does: the same seeds, without
- * factoring a.
+ * counters as the pure path; the test suite enforces that equality.  Both
+ * paths find the seeds of each pair's orbits by the same scan of
+ * c0 = (s0^2-1)/a (see pell_orbit); the kernel differs only in visiting
+ * the pairs of each r unsorted.
  *
  * S >= 1 for every pair: ab+1 = r^2 rules out b = a+1, so b >= a+2, and
  * then r <= (a+b)/2, so a(b-a) - 2(r-1) >= (a-1)(b-a-2) >= 0.  Hence
@@ -227,10 +226,10 @@ follow_orbit(u64 a, u64 b, u64 r, u64 s_max, int64_t t, int64_t s,
 
 /* Test the seeds s0 <= S of the pair (a, b, r), those with
    s0^2 == 1 (mod a), and follow the orbits of the ones with
-   b*c0 + 1 = t0^2, c0 = (s0^2-1)/a, as search.pell_orbit.  The seeds are
-   found by scanning c0 = 0..C, C = (S^2-1)/a, for a square a*c0 + 1 = s0^2:
-   C+1 tests, most rejected by the residue masks, where s0 = 1..S would take
-   S.  c0 and s0 rise together, so the seeds come in ascending order.
+   b*c0 + 1 = t0^2, c0 = (s0^2-1)/a.  The seed search is search.pell_orbit's:
+   scan c0 = 0..C, C = (S^2-1)/a, for a square a*c0 + 1 = s0^2, C+1 tests,
+   most rejected by the residue masks, where s0 = 1..S would take S.  c0 and
+   s0 rise together, so the seeds come in ascending order.
    Returns 0, or -1 with a Python exception set. */
 static int
 pell_orbit(u64 a, u64 b, u64 r, u64 s_max, PyObject *found, u64 *candidates)

@@ -147,7 +147,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    jobs = args.jobs if args.jobs is not None else int(os.environ.get("FOURSQ_JOBS", "1"))
+    env = os.environ.get("FOURSQ_JOBS", "1")
+    try:
+        jobs = args.jobs if args.jobs is not None else int(env)
+    except ValueError:
+        raise DomainError(f"FOURSQ_JOBS must be an integer, got {env!r}") from None
+    # run first, so that the oracle's bound cap fails before any output
+    reference = brute_oracle(args.max) if args.oracle else None
     use_kernel, reason = census_path(args.max, args.pure)
     print(f"search path: {'kernel' if use_kernel else 'pure Python'} "
           f"({reason})", file=sys.stderr)
@@ -171,8 +177,7 @@ def _cmd_search(args) -> int:
           f"{result.stats.pairs_scanned} pairs scanned, "
           f"{result.stats.candidates_tested} candidates tested, "
           f"{result.stats.elapsed:.3f}s", file=sys.stderr)
-    if args.oracle:
-        reference = brute_oracle(args.max)
+    if reference is not None:
         if reference.triples != result.triples:
             got = {t[:3] for t in result.triples}
             want = {t[:3] for t in reference.triples}

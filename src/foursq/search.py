@@ -116,6 +116,7 @@ def divisors(factors: List[Tuple[int, int]]) -> List[int]:
     return divs
 
 
+# Not used by the census; kept until perfbench/tracing.py drops unit_roots.
 def unit_square_roots(m: int, spf: List[int]) -> Tuple[int, ...]:
     """All t in [0, m) with t^2 == 1 (mod m), by CRT over prime powers."""
     if m == 1:
@@ -143,8 +144,7 @@ def unit_square_roots(m: int, spf: List[int]) -> Tuple[int, ...]:
     return tuple(sorted(z for z, _ in roots))
 
 
-def find_pairs(bound: int, spf: Optional[List[int]] = None,
-               r_lo: int = 3, r_hi: Optional[int] = None
+def find_pairs(bound: int, r_lo: int = 3, r_hi: Optional[int] = None
                ) -> Iterator[Tuple[int, int, int]]:
     """Yield every (a, b, r) with 2 <= a < b <= bound and ab+1 = r^2,
     ordered by r and then by a."""
@@ -152,8 +152,7 @@ def find_pairs(bound: int, spf: Optional[List[int]] = None,
         raise DomainError(f"pair enumeration needs bound >= 3, got {bound}")
     if r_hi is None:
         r_hi = isqrt(bound * (bound - 1) + 1) + 1
-    if spf is None:
-        spf = spf_sieve(max(r_hi, 3))
+    spf = spf_sieve(max(r_hi, 3))
     for r in range(r_lo, r_hi):
         n = r * r - 1
         factors = _merge_factors(factorize(r - 1, spf), factorize(r + 1, spf))
@@ -167,22 +166,21 @@ def find_pairs(bound: int, spf: Optional[List[int]] = None,
                 yield a, b, r
 
 
-def pell_orbit(a: int, b: int, r: int, s_max: int,
-               roots: Tuple[int, ...]) -> Tuple[int, List[int]]:
+def pell_orbit(a: int, b: int, r: int, s_max: int) -> Tuple[int, List[int]]:
     """Seeds tested, and the s of every orbit iterate with r < s <= s_max,
-    for the pair (a, b, r) with ab+1 = r^2; `roots` are the square roots of
-    unity mod a.
+    for the pair (a, b, r) with ab+1 = r^2.
 
     Every c with ac+1 = s^2 and bc+1 = t^2 solves a*t^2 - b*s^2 = a - b, and
     c > b, c <= bound mean r < s <= s_max = isqrt(a*bound+1).  Multiplied by
     a this is (at)^2 - ab*s^2 = -a(b-a); the step
     (t, s) <- (r*t + b*s, a*t + r*s) is multiplication by the norm-1 unit
     r + sqrt(ab), and each orbit of solutions under it (with its conjugate)
-    holds a seed with 1 <= s0 <= sqrt(a(b-a) / (2(r-1))) (T. Nagell,
+    holds a seed with 1 <= s0 <= S = sqrt(a(b-a) / (2(r-1))) (T. Nagell,
     Introduction to Number Theory, 1951, Thm 108a; Dujella and Petho,
-    Quart. J. Math. 49, 1998).  A seed has s0^2 == 1 (mod a), and it is one
-    exactly when b*c0+1 = t0^2 for c0 = (s0^2-1)/a; both (t0, s0) and
-    (-t0, s0) are followed.  Seeds have s0 < r, so none is a candidate.
+    Quart. J. Math. 49, 1998).  The seeds are the s0 with a*c0+1 = s0^2 and
+    b*c0+1 = t0^2 for c0 = 0..(S^2-1)/a, the scan the kernel makes too; both
+    (t0, s0) and (-t0, s0) are followed.  Seeds have s0 < r, so none is a
+    candidate.
 
     Termination: one step from either seed gives t > 0 and s > 0 (from
     (-t0, s0) because s0 is within the bound above, which makes
@@ -196,24 +194,25 @@ def pell_orbit(a: int, b: int, r: int, s_max: int,
     seed_max = isqrt(a * (b - a) // (2 * (r - 1)))
     seeds = 0
     found = []
-    for rho in roots:
-        for s0 in range(rho, seed_max + 1, a):
-            seeds += 1
-            t0 = perfect_square_root(b * ((s0 * s0 - 1) // a) + 1)
-            if t0 is None:
-                continue
-            for t, s in ((t0, s0), (-t0, s0)):
-                while True:
-                    t, s = r * t + b * s, a * t + r * s
-                    if t > 0 and s > s_max:
-                        break
-                    if r < s <= s_max:
-                        found.append(s)
+    for c0 in range((seed_max * seed_max - 1) // a + 1):
+        s0 = perfect_square_root(a * c0 + 1)
+        if s0 is None:
+            continue
+        seeds += 1
+        t0 = perfect_square_root(b * c0 + 1)
+        if t0 is None:
+            continue
+        for t, s in ((t0, s0), (-t0, s0)):
+            while True:
+                t, s = r * t + b * s, a * t + r * s
+                if t > 0 and s > s_max:
+                    break
+                if r < s <= s_max:
+                    found.append(s)
     return seeds, found
 
 
-def _census_chunk_py(bound: int, r_lo: int, r_hi: int,
-                     spf: Optional[List[int]] = None
+def _census_chunk_py(bound: int, r_lo: int, r_hi: int
                      ) -> Tuple[List[Tuple[int, ...]], int, int]:
     """Scan pairs with r in [r_lo, r_hi); return raw triples and counters.
 
@@ -222,22 +221,15 @@ def _census_chunk_py(bound: int, r_lo: int, r_hi: int,
     counters: pairs scanned, and candidates tested (seeds tested plus orbit
     iterates tested).
     """
-    if spf is None:
-        spf = spf_sieve(max(r_hi, bound + 1, 3))
     found = []
     pairs = 0
     candidates = 0
-    roots_cache: dict = {}
-    for a, b, r in find_pairs(bound, spf, r_lo, r_hi):
+    for a, b, r in find_pairs(bound, r_lo, r_hi):
         pairs += 1
         s_max = isqrt(a * bound + 1)
         if s_max <= r:
             continue
-        roots = roots_cache.get(a)
-        if roots is None:
-            roots = unit_square_roots(a, spf)
-            roots_cache[a] = roots
-        seeds, orbit = pell_orbit(a, b, r, s_max, roots)
+        seeds, orbit = pell_orbit(a, b, r, s_max)
         candidates += seeds + len(orbit)
         for s in orbit:
             c = (s * s - 1) // a

@@ -172,6 +172,10 @@ def test_search_oracle_agreement(capsys):
 
 def test_search_oracle_cap_is_usage_error(capsys):
     assert run_cli(capsys, "search", "--max", "2500", "--oracle")[0] == 2
+    # the cap fails before the census, so no rows reach stdout
+    code, out, err = run_cli(capsys, "search", "--max", "5000", "--oracle")
+    assert (code, out) == (2, "")
+    assert "oracle capped at 2000" in err
 
 
 def test_search_csv(capsys):
@@ -283,6 +287,13 @@ def test_jobs_env_default(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "search", "--max", "300", "--format", "json")
     assert code == 0
     assert out == baseline  # byte-identical regardless of worker count
+
+
+def test_jobs_env_must_be_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("FOURSQ_JOBS", "x")
+    code, out, err = run_cli(capsys, "search", "--max", "300")
+    assert (code, out) == (2, "")
+    assert "FOURSQ_JOBS" in err
 
 
 @pytest.mark.parametrize("argv,code", [

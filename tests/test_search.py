@@ -67,13 +67,12 @@ def test_pell_orbit_finds_every_c_of_a_pair():
     # the seeds and orbits of each pair give exactly the c > b up to the
     # bound with ac+1 and bc+1 square, checked against a scan of every c
     bound = 3000
-    spf = spf_sieve(bound)
     squares = {k * k for k in range(math.isqrt(200 * bound + 1) + 1)}
     pairs = list(find_pairs(200))
     assert len(pairs) == 547
     for a, b, r in pairs:
         s_max = math.isqrt(a * bound + 1)
-        _, orbit = pell_orbit(a, b, r, s_max, unit_square_roots(a, spf))
+        _, orbit = pell_orbit(a, b, r, s_max)
         assert all(r < s <= s_max and (s * s - 1) % a == 0 for s in orbit)
         want = {c for c in range(b + 1, bound + 1)
                 if a * c + 1 in squares and b * c + 1 in squares}
@@ -102,9 +101,10 @@ def test_pell_orbit_seeds_step_to_positive_increasing_iterates():
 
 
 def test_seed_scans_over_s0_and_c0_agree():
-    # the kernel scans c0 for its seeds, the pure path s0: every pair has
-    # S >= 1, and the s0 with a*c0+1 = s0^2 for c0 <= (S^2-1)/a are exactly
-    # the s0 <= S with s0^2 == 1 (mod a), in the same order
+    # both census paths scan c0 for their seeds: every pair has S >= 1, and
+    # the s0 with a*c0+1 = s0^2 for c0 <= (S^2-1)/a are exactly the s0 <= S
+    # with s0^2 == 1 (mod a), in the same order, and pell_orbit tests each
+    # of them once
     for a, b, r in find_pairs(2000):
         seed_max = math.isqrt(a * (b - a) // (2 * (r - 1)))
         assert seed_max >= 1, (a, b, r)
@@ -113,6 +113,7 @@ def test_seed_scans_over_s0_and_c0_agree():
                  for c0 in range((seed_max * seed_max - 1) // a + 1)
                  if math.isqrt(a * c0 + 1) ** 2 == a * c0 + 1]
         assert by_c0 == by_s0, (a, b, r)
+        assert pell_orbit(a, b, r, r + 1)[0] == len(by_s0), (a, b, r)
 
 
 def test_search_small_censuses():
@@ -182,6 +183,20 @@ def test_kernel_chunk_equals_pure_chunk(bound, kernel):
     # the same raw triples, in any order, and the same counters
     assert (_sorted_chunk(kernel.census_chunk(bound, 3, _r_max(bound)))
             == _sorted_chunk(_census_chunk_py(bound, 3, _r_max(bound))))
+
+
+@pytest.mark.parametrize("r_lo,r_hi,counts", [
+    (3, 2000, (21, 41_101, 173_918)),
+    (1_499_000, 1_500_000, (0, 1000, 997)),
+])
+def test_kernel_chunk_equals_pure_chunk_at_the_kernel_cap(kernel, r_lo, r_hi,
+                                                          counts):
+    # at KERNEL_MAX_BOUND the kernel's 64-bit ranges are widest; the pure
+    # sieve reaches only r_hi, so r-windows there are cheap to compare
+    pure = _sorted_chunk(_census_chunk_py(KERNEL_MAX_BOUND, r_lo, r_hi))
+    assert _sorted_chunk(kernel.census_chunk(KERNEL_MAX_BOUND, r_lo,
+                                             r_hi)) == pure
+    assert (len(pure[0]), pure[1], pure[2]) == counts
 
 
 @pytest.mark.parametrize("bound,triples,pairs,candidates", [
