@@ -13,7 +13,7 @@ import os
 import sys
 from typing import Optional
 
-from .certify import DomainError, verify_four
+from .certify import Certificate, DomainError, verify_four
 from .family import ConstructionError, TripleCandidate, make_companion, make_main
 from .search import ORACLE_MAX_BOUND, brute_oracle, census_path, search_triples
 from .sequences import sequence_values
@@ -29,8 +29,14 @@ def _opt_str(v) -> Optional[str]:
     return None if v is None else str(v)
 
 
+def _certificate_record(cert: Optional[Certificate]) -> Optional[dict]:
+    return None if cert is None else {
+        "ab": str(cert.r_ab), "ac": str(cert.r_ac),
+        "bc": str(cert.r_bc), "abc": str(cert.r_abc),
+    }
+
+
 def _triple_record(cand: TripleCandidate) -> dict:
-    cert = cand.certificate()
     return {
         "n": str(cand.n),
         "variant": cand.variant,
@@ -38,16 +44,13 @@ def _triple_record(cand: TripleCandidate) -> dict:
         "r": str(cand.r),
         "b": str(cand.b),
         "c": str(cand.c),
-        "s": _opt_str(cand.s),
+        "s": str(cand.s),
         "admissible": cand.admissible,
-        "certificate": None if cert is None else {
-            "ab": str(cert.r_ab), "ac": str(cert.r_ac),
-            "bc": str(cert.r_bc), "abc": str(cert.r_abc),
-        },
+        "certificate": _certificate_record(cand.certificate()),
     }
 
 
-def _search_record(a: int, b: int, c: int, cert) -> dict:
+def _search_record(a: int, b: int, c: int, cert: Certificate) -> dict:
     return {
         "n": None,
         "variant": "external",
@@ -57,10 +60,7 @@ def _search_record(a: int, b: int, c: int, cert) -> dict:
         "c": str(c),
         "s": str(cert.r_abc),
         "admissible": True,
-        "certificate": {
-            "ab": str(cert.r_ab), "ac": str(cert.r_ac),
-            "bc": str(cert.r_bc), "abc": str(cert.r_abc),
-        },
+        "certificate": _certificate_record(cert),
     }
 
 
@@ -125,12 +125,7 @@ def _cmd_verify(args) -> int:
         payload = {
             "a": str(a), "b": str(b), "c": str(c),
             "ok": outcome.ok,
-            "certificate": None if outcome.certificate is None else {
-                "ab": str(outcome.certificate.r_ab),
-                "ac": str(outcome.certificate.r_ac),
-                "bc": str(outcome.certificate.r_bc),
-                "abc": str(outcome.certificate.r_abc),
-            },
+            "certificate": _certificate_record(outcome.certificate),
             "first_failure": outcome.first_failure,
             "failing_value": _opt_str(outcome.failing_value),
         }

@@ -5,8 +5,8 @@ Two parametrized families indexed by n (through the conic point
 
 * the main family, whose a, r, b, c, s come from the polynomial tables in
   `forms` and for which abc+1 = s^2 holds identically, and
-* the companion family r = A(n)^2 R(n-1) - A(n-1) - 2, observed to produce
-  four-square triples but carrying no algebraic guarantee for abc+1.
+* the companion family r = A(n)^2 R(n-1) - A(n-1) - 2, from the
+  `forms.COMP_*` tables; both go through one checked constructor.
 
 Plus the two elementary constructions: completing a pair (a, b) with
 ab+1 = r^2 to c = a + b + 2r, and the degenerate a=1 family b = k^2-1,
@@ -14,7 +14,6 @@ c = (k+1)^2 - 1.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 from . import forms
 from .certify import Certificate, DomainError, perfect_square_root
@@ -42,7 +41,7 @@ class TripleCandidate:
 
     Inadmissible candidates (an entry <= 1 or a collision) are returned
     flagged rather than rejected: negative indices legitimately produce them.
-    s is the nonnegative root of abc+1 when that is a perfect square.
+    s is the nonnegative root of abc+1.
     """
 
     n: int
@@ -53,13 +52,11 @@ class TripleCandidate:
     r: int
     b: int
     c: int
-    s: Optional[int]
+    s: int
     admissible: bool
 
-    def certificate(self) -> Optional[Certificate]:
-        """The four square roots, when abc+1 is a square."""
-        if self.s is None:
-            return None
+    def certificate(self) -> Certificate:
+        """The four square roots."""
         return Certificate(abs(self.r), abs(self.a + self.r),
                            abs(self.b + self.r), self.s)
 
@@ -101,43 +98,43 @@ def _admissible(a: int, b: int, c: int) -> bool:
     return a > 1 and b > 1 and c > 1 and a != b and a != c and b != c
 
 
-def make_main(n: int) -> TripleCandidate:
-    """Evaluate the proved family at index n, with every invariant checked."""
+def _construct(n: int, variant: str, *evaluators) -> TripleCandidate:
+    """a, r, b, c, s from the five evaluators at conic_point(n), every
+    invariant checked with `if` (not `assert`, so also under python -O)."""
     pt = conic_point(n)
-    a, r, b, c = poly_a(pt), poly_r(pt), poly_b(pt), poly_c(pt)
-    s = poly_s(pt)
+    a, r, b, c, s = (f(pt) for f in evaluators)
+    s = abs(s)  # the quintic s forms go negative on the negative branch
     checks = (a * b + 1 == r * r, c == a + b + 2 * r,
               a * c + 1 == (a + r) ** 2, b * c + 1 == (b + r) ** 2,
               a * b * c + 1 == s * s)
     if not all(checks):
         raise ConstructionError(
-            f"main index {n}: invariant {checks.index(False) + 1} of "
+            f"{variant} index {n}: invariant {checks.index(False) + 1} of "
             f"ab+1=r^2, c=a+b+2r, ac+1=(a+r)^2, bc+1=(b+r)^2, abc+1=s^2 fails")
-    return TripleCandidate(n=n, variant="main", x=pt.x, y=pt.y,
+    return TripleCandidate(n=n, variant=variant, x=pt.x, y=pt.y,
                            a=a, r=r, b=b, c=c, s=s,
                            admissible=_admissible(a, b, c))
+
+
+def make_main(n: int) -> TripleCandidate:
+    """Evaluate the proved family at index n, with every invariant checked."""
+    return _construct(n, "main", poly_a, poly_r, poly_b, poly_c, poly_s)
+
+
+def _companion(table: dict, what: str):
+    return lambda pt: _eval_int(table, pt, f"companion {what}")
+
+
+# a is shared with the main family: both are A(n)^2 + 4.
+_COMPANION = (poly_a, _companion(forms.COMP_R, "r"),
+              _companion(forms.COMP_B, "b"), _companion(forms.COMP_C, "c"),
+              _companion(forms.COMP_S, "s"))
 
 
 def make_companion(n: int) -> TripleCandidate:
-    """Evaluate the companion family at index n.
-
-    a = A(n)^2 + 4 must divide r^2 - 1; that holds for every index tried but
-    is not a proved fact, so violation raises rather than silently truncating.
-    abc+1 is tested numerically and s left unset when it is not a square.
-    """
-    pt = conic_point(n)
-    A = seq_A(n)
-    a = A * A + 4
-    r = A * A * seq_R(n - 1) - seq_A(n - 1) - 2
-    if (r * r - 1) % a:
-        raise ConstructionError(
-            f"companion index {n}: a={a} does not divide r^2-1 (r={r})")
-    b = (r * r - 1) // a
-    c = a + b + 2 * r
-    s = perfect_square_root(a * b * c + 1)
-    return TripleCandidate(n=n, variant="companion", x=pt.x, y=pt.y,
-                           a=a, r=r, b=b, c=c, s=s,
-                           admissible=_admissible(a, b, c))
+    """Evaluate the companion family at index n from its `forms` tables,
+    with the same invariants checked as for the main family."""
+    return _construct(n, "companion", *_COMPANION)
 
 
 def recurrence_r(n: int) -> int:

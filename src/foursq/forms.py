@@ -1,13 +1,14 @@
 """Coefficient tables for the closed-form family polynomials in x, y.
 
 Every table maps (x_degree, y_degree) -> exact rational coefficient.  These
-are the single source of truth: `family` evaluates them at conic points and
-`symbolic` proves the algebraic identities between them, so a transcription
-slip fails both routes in a visible way.
+are the single source of truth for both families and the sequences A, R:
+`family` and `sequences` evaluate them at conic points and `symbolic` checks
+the identities between them, so a transcription slip fails both routes.
 
 The parameter point (x, y) runs over integer solutions of x^2 - 4xy + y^2 = 1.
 """
 
+import math
 from fractions import Fraction as F
 
 # x^2 - 4xy + y^2, equal to 1 on the parameter conic.
@@ -59,7 +60,34 @@ R2_FORM = {(1, 0): F(5), (0, 1): F(-3), (0, 0): F(-1)}
 R2_PREV_FORM = {(1, 0): F(3), (0, 1): F(-7), (0, 0): F(-1)}
 
 
+# Companion family: a is ELEM_A = A(n)^2 + 4, r = A(n)^2 R(n-1) - A(n-1) - 2,
+# b = (r^2-1)/a, c = a+b+2r and s the root of abc+1 (sign normalized by the
+# caller), all written in x, y; b, c and s are reduced to x-degree 1 with
+# x^2 = 4xy - y^2 + 1.
+COMP_R = {
+    (3, 0): F(3, 2), (2, 1): F(5, 2), (1, 2): F(-8), (0, 3): F(-14),
+    (2, 0): F(-1, 2), (1, 1): F(-2), (0, 2): F(-2), (1, 0): F(2),
+    (0, 1): F(-9), (0, 0): F(-2),
+}
+
+# As for the main family, b and c share an even part and flip the odd part.
+_COMP_EVEN = {(0, 4): F(42), (1, 3): F(55, 2), (1, 1): F(15, 2),
+              (0, 2): F(45, 2), (0, 0): F(7, 2)}
+_COMP_ODD = {(0, 3): F(45, 2), (1, 2): F(-49, 2), (0, 1): F(1, 2),
+             (1, 0): F(-7, 2)}
+
+COMP_B = {**_COMP_EVEN, **_COMP_ODD}
+COMP_C = {**_COMP_EVEN, **{k: -v for k, v in _COMP_ODD.items()}}
+
+COMP_S = {
+    (0, 5): F(113, 2), (1, 4): F(207), (0, 3): F(109), (1, 2): F(44),
+    (0, 1): F(31, 2), (1, 0): F(1),
+}
+
+
 def evaluate(table: dict, x: int, y: int) -> F:
-    """Exact value of a coefficient table at integer point (x, y)."""
-    return sum((coef * x ** i * y ** j for (i, j), coef in table.items()),
-               start=F(0))
+    """Exact value of a coefficient table at integer point (x, y), summed
+    over the integers times the table's common denominator."""
+    den = math.lcm(*(coef.denominator for coef in table.values()))
+    return F(sum(coef.numerator * (den // coef.denominator) * x ** i * y ** j
+                 for (i, j), coef in table.items()), den)

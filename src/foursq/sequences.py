@@ -1,12 +1,15 @@
-"""Two-sided evaluation of the linear recurrences P, A, R with exact cross-checks.
+"""The sequences P, A, R, two-sided, as values at points of the conic.
 
-All three sequences satisfy s(n) = 4*s(n-1) - s(n-2) (+1 for R) and extend to
-negative indices by running the recurrence backwards.  Values are kept signed;
-A(-1) = -2, A(-2) = -9, ... even though tables of the negative branch are often
-quoted unsigned.
+The one recurrence is the conic step (x, y) -> (4x - y, x) from (1, 0), run
+backwards for negative indices; the point of index n is (P(n+1), P(n)), and
+A(n) = x + 2y and R(n) = (5x - 3y - 1)/2 are linear forms from `forms`.
+Values are kept signed; A(-1) = -2, A(-2) = -9, ... even though tables of
+the negative branch are often quoted unsigned.
 """
 
 from dataclasses import dataclass
+
+from . import forms
 
 
 @dataclass(frozen=True)
@@ -30,65 +33,64 @@ class PellNumber:
     v: int
 
 
-def _linear(n: int, s0: int, s1: int, add: int = 0) -> int:
-    """Value at index n of s(k+1) = 4 s(k) - s(k-1) + add, run in either direction."""
-    if n == 0:
-        return s0
-    if n > 0:
-        lo, hi = s0, s1
-        for _ in range(n - 1):
-            lo, hi = hi, 4 * hi - lo + add
-        return hi
-    # backwards: s(k-1) = 4 s(k) - s(k+1) + add
-    lo, hi = s0, s1
+def _step(x: int, y: int, n: int) -> tuple:
+    """(x, y) moved n steps along the conic: (x, y) -> (4x - y, x) forward,
+    its inverse (x, y) -> (y, 4y - x) for negative n."""
+    for _ in range(n):
+        x, y = 4 * x - y, x
     for _ in range(-n):
-        lo, hi = 4 * lo - hi + add, lo
-    return lo
+        x, y = y, 4 * y - x
+    return x, y
+
+
+def conic_point(n: int) -> ConicPoint:
+    """The point (P(n+1), P(n)), |n| conic steps from (1, 0)."""
+    return ConicPoint(*_step(1, 0, n))
+
+
+# Each sequence as a linear form in the conic point of the same index.
+_TABLES = {"P": {(0, 1): 1}, "A": forms.A_FORM,
+           "R": {mono: coef / 2 for mono, coef in forms.R2_FORM.items()}}
+
+
+def _value(name: str, x: int, y: int) -> int:
+    return int(forms.evaluate(_TABLES[name], x, y))
 
 
 def pell_P(n: int) -> int:
     """P(0)=0, P(1)=1, P(n) = 4P(n-1) - P(n-2); odd under negation."""
-    return _linear(n, 0, 1)
+    return conic_point(n).y
 
 
 def seq_A(n: int) -> int:
     """A(0)=1, A(1)=6, A(n+1) = 4A(n) - A(n-1)."""
-    return _linear(n, 1, 6)
+    return _value("A", *_step(1, 0, n))
 
 
 def seq_R(n: int) -> int:
     """R(0)=2, R(1)=8, R(n) = 4R(n-1) - R(n-2) + 1."""
-    return _linear(n, 2, 8, add=1)
-
-
-_BASES = {"P": (0, 1, 0), "A": (1, 6, 0), "R": (2, 8, 1)}
+    return _value("R", *_step(1, 0, n))
 
 
 def sequence_values(name: str, lo: int, hi: int) -> list:
-    """Values of sequence `name` over lo..hi inclusive, in one linear sweep."""
-    if name not in _BASES:
+    """Values of sequence `name` over lo..hi inclusive, in one conic sweep."""
+    if name not in _TABLES:
         raise ValueError(f"unknown sequence {name!r}; expected one of P, A, R")
     if lo > hi:
         raise ValueError(f"empty index range {lo}..{hi}")
-    s0, s1, add = _BASES[name]
-    prev, cur = _linear(lo - 1, s0, s1, add), _linear(lo, s0, s1, add)
-    out = [cur]
-    for _ in range(hi - lo):
-        prev, cur = cur, 4 * cur - prev + add
-        out.append(cur)
+    x, y = _step(1, 0, lo)
+    out = []
+    for _ in range(lo, hi + 1):
+        out.append(_value(name, x, y))
+        x, y = _step(x, y, 1)
     return out
-
-
-def conic_point(n: int) -> ConicPoint:
-    """The point (P(n+1), P(n)); consecutive P values always land on the conic."""
-    return ConicPoint(pell_P(n + 1), pell_P(n))
 
 
 def binet_exact(n: int) -> PellNumber:
     """(2+sqrt(3))^n as u + v*sqrt(3), by binary exponentiation over Z[sqrt(3)].
 
     Negative n uses the inverse 2-sqrt(3).  The v component reproduces
-    pell_P(n), which gives an evaluation route independent of the recurrence.
+    pell_P(n), which gives an evaluation route independent of the conic step.
     """
     if n < 0:
         base_u, base_v = 2, -1

@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from . import forms
+from .sequences import conic_point
 
 Monomial = Tuple[int, int]  # (x_degree, y_degree)
 
@@ -106,8 +107,7 @@ class BiPoly:
         return result
 
     def evaluate(self, x, y) -> Fraction:
-        return sum((c * Fraction(x) ** i * Fraction(y) ** j
-                    for (i, j), c in self.terms.items()), start=Fraction(0))
+        return forms.evaluate(self.terms, x, y)
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -212,7 +212,7 @@ def _build_polys(table_overrides: Optional[dict] = None) -> dict:
         "c": forms.ELEM_C, "s": forms.ROOT_S, "conic": forms.CONIC_FORM,
         "A": forms.A_FORM, "A_next": forms.A_NEXT_FORM,
         "A_prev": forms.A_PREV_FORM, "R2": forms.R2_FORM,
-        "R2_prev": forms.R2_PREV_FORM,
+        "R2_prev": forms.R2_PREV_FORM, "comp_r": forms.COMP_R,
         "abc_f0": forms.ABC_FACTORS[0], "abc_f1": forms.ABC_FACTORS[1],
         "abc_f2": forms.ABC_FACTORS[2], "abc_f3": forms.ABC_FACTORS[3],
     }
@@ -228,7 +228,7 @@ def prove_identities(table_overrides: Optional[dict] = None) -> IdentityReport:
     every conic point yields a, b, c with ab+1, ac+1, bc+1 and abc+1 all
     perfect squares.  I9 probes whether the homogenized abc+1 = s^2 identity
     already holds before reduction; I10 is a numeric consistency check of the
-    companion-family root against its linear-form expression.
+    companion root table `forms.COMP_R` against its linear-form expression.
 
     `table_overrides` replaces named coefficient tables (see `_build_polys`),
     used to demonstrate that single-coefficient perturbations are caught.
@@ -274,15 +274,12 @@ def prove_identities(table_overrides: Optional[dict] = None) -> IdentityReport:
             note="holds only after reduction" if nf.is_zero() else ""))
 
     # I10: companion root, numeric agreement only (no ring claim is made).
-    from .family import make_companion
-    from .sequences import conic_point
-
     comp_expr = (P["A"] * P["A"] * P["R2_prev"]
                  - BiPoly.const(2) * P["A_prev"] - BiPoly.const(4))
     mismatches = []
     for n in range(0, 7):
         pt = conic_point(n)
-        want = 2 * make_companion(n).r
+        want = 2 * P["comp_r"].evaluate(pt.x, pt.y)
         got = comp_expr.evaluate(pt.x, pt.y)
         if got != want:
             mismatches.append(n)

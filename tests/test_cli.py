@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -214,6 +215,42 @@ def test_prove_json(capsys):
     assert payload["core_ok"] is True
     assert len(payload["identities"]) == 10
     assert all(it["passed"] for it in payload["identities"])
+
+
+# sha256 of stdout for family and sequence commands, recorded from the
+# recurrence-built companion and sequences that the forms tables replaced.
+GOLDEN_STDOUT = [
+    ("gen -60 60 both --format json",
+     "1aefa92a2caff7595a2d90a46869d2075fbc219c29b9e30155b87da995be2305"),
+    ("gen -60 60 both --format csv",
+     "13d8554056dd1c7dd34b9fe5cd8708cf32a29bdd6317c62e2f28e2a9c747dbe3"),
+    ("gen -60 60 both --format table",
+     "e200d5c5c0fe9a39eacab1870407a786ff91320f436b9ee47bf135020a84c60b"),
+    ("seq P -500 500",
+     "a0dc3f6afd0af3f5e5eda80379f0ab53b5a0cdd6afcb656222b0ca0c70a8a192"),
+    ("seq A -500 500",
+     "861f5d32eddb0e2a0e1cf921ab769862f8852831498477f731c6210a2a4e73a4"),
+    ("seq R -500 500",
+     "11027a92a1b510e05e035f022fec35d797c32fb795fc1cb2a1feb35bc0a5d352"),
+    ("gen -10000 -10000 both --format json",
+     "c3807206cc5574c224a085d8aeb6d7ac153188d9126a87770cd00fedea723615"),
+    ("gen -1504 -1504 both --format json",
+     "05ec523720f3b3faaa739539919ff996842791c05ffa25276d3ff9600a5f56c9"),
+    ("gen 1504 1504 both --format json",
+     "7d040738df77c06182ef89a4e2ef44c8ae0ddf4e8c233d2c64e6280c48da3906"),
+    ("gen 10000 10000 both --format json",
+     "ccffe995ec5bde713e97882fe4a65b4b5d9db2684d4149bcd1acc3bbc4a522f5"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN_STDOUT,
+                         ids=[argv for argv, _ in GOLDEN_STDOUT])
+def test_families_stdout_matches_golden_digest(capsys, monkeypatch, argv,
+                                               digest):
+    monkeypatch.delenv("FOURSQ_COLOR", raising=False)
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_seq_outputs(capsys):

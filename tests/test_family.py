@@ -205,8 +205,12 @@ if not sys.flags.optimize:
     sys.exit("not running under -O")
 caught = []
 square_root = family.perfect_square_root
+companion_broken_c = (*family._COMPANION[:3], lambda pt: 7,
+                      *family._COMPANION[4:])
 cases = [
     ("make_main", "poly_c", lambda pt: 7, lambda: family.make_main(1)),
+    ("make_companion", "_COMPANION", companion_broken_c,
+     lambda: family.make_companion(1)),
     ("regular_complete", "perfect_square_root", lambda v: square_root(v) + 1,
      lambda: family.regular_complete(5, 7)),
     ("degenerate_family", "perfect_square_root", lambda v: None,
@@ -230,4 +234,4 @@ def test_invariant_checks_survive_python_O():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [
-        "make_main", "regular_complete", "degenerate_family"]
+        "make_main", "make_companion", "regular_complete", "degenerate_family"]

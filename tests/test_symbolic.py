@@ -129,7 +129,8 @@ def test_reduce_agrees_on_conic_points(terms):
 
 def test_transcribed_forms_reduce_consistently_on_conic_points():
     for table in (forms.ELEM_A, forms.ROOT_R, forms.ELEM_B, forms.ELEM_C,
-                  forms.ROOT_S):
+                  forms.ROOT_S, forms.COMP_R, forms.COMP_B, forms.COMP_C,
+                  forms.COMP_S):
         p = BiPoly.from_table(table)
         nf = reduce(p)
         for n in range(-6, 7):
@@ -158,6 +159,14 @@ def test_companion_root_numeric_identity():
     assert prove_identities()["I10"].passed
 
 
+def test_companion_root_mutation_fails_I10():
+    mutated = prove_identities(
+        {"comp_r": _perturb(forms.COMP_R, (0, 0), Fraction(1))})
+    assert not mutated["I10"].passed
+    assert mutated["I10"].note == "mismatch at n=[0, 1, 2, 3, 4, 5, 6]"
+    assert mutated.core_ok  # I10 is outside the main family's chain
+
+
 def _perturb(table, mono, delta):
     new = dict(table)
     new[mono] = new.get(mono, Fraction(0)) + delta
@@ -183,3 +192,41 @@ def test_mutation_off_by_one_in_r_cubic_fails_I1():
     mutated = prove_identities({"r": _perturb(forms.ROOT_R, (3, 0), 1)})
     assert not mutated["I1"].passed
     assert mutated["I1"].residual is not None
+
+
+def _companion_residues(overrides=None):
+    """Normal forms of the six companion identities; all zero when the
+    COMP_* tables are right."""
+    t = {"r": forms.COMP_R, "b": forms.COMP_B, "c": forms.COMP_C,
+         "s": forms.COMP_S, **(overrides or {})}
+    a = BiPoly.from_table(forms.ELEM_A)
+    r, b, c, s = (BiPoly.from_table(t[k]) for k in "rbcs")
+    A = BiPoly.from_table(forms.A_FORM)
+    two = BiPoly.const(2)
+    return [reduce(diff) for diff in (
+        a * b + ONE - r * r,
+        c - a - b - two * r,
+        a * c + ONE - (a + r) * (a + r),
+        b * c + ONE - (b + r) * (b + r),
+        a * b * c + ONE - s * s,
+        two * r - (A * A * BiPoly.from_table(forms.R2_PREV_FORM)
+                   - two * BiPoly.from_table(forms.A_PREV_FORM)
+                   - BiPoly.const(4)),
+    )]
+
+
+def test_companion_identities_reduce_to_zero():
+    # ab+1 = r^2, c = a+b+2r, ac+1 = (a+r)^2, bc+1 = (b+r)^2, abc+1 = s^2
+    # and 2r = A^2*(2R_prev) - 2A_prev - 4, in the quotient ring
+    assert all(nf.is_zero() for nf in _companion_residues())
+
+
+@pytest.mark.parametrize("key,base,mono", [
+    ("r", forms.COMP_R, (0, 3)),
+    ("b", forms.COMP_B, (1, 3)),
+    ("c", forms.COMP_C, (0, 0)),
+    ("s", forms.COMP_S, (0, 5)),
+])
+def test_companion_single_coefficient_mutations_are_caught(key, base, mono):
+    residues = _companion_residues({key: _perturb(base, mono, Fraction(1))})
+    assert any(not nf.is_zero() for nf in residues)
