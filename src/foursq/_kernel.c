@@ -12,6 +12,9 @@
  * then r <= (a+b)/2, so a(b-a) - 2(r-1) >= (a-1)(b-a-2) >= 0.  Hence
  * C = (S^2-1)/a never wraps.
  *
+ * MAX_BOUND is set here only: the module exports it, and
+ * search.census_path sends larger bounds to the pure path.
+ *
  * Ranges for bound <= MAX_BOUND: r < b <= 1.5e6 and s_max <= 1.5e6, so
  * ab < r^2 <= 2.25e12 and abc+1 < bound^3 < 2^63.  With r >= 3 the seed
  * scan's a*c0 + 1 <= S^2 <= a(b-a)/4 <= b^2/16 < 1.5e11 and
@@ -42,15 +45,16 @@
 typedef uint64_t u64;
 typedef uint32_t u32;
 
-/* abc+1 < bound^3 must stay below 2^63; keep in sync with
-   search.KERNEL_MAX_BOUND. */
+/* abc+1 < bound^3 must stay below 2^63. */
 #define MAX_BOUND 1500000
 
-/* Capacities for bound <= MAX_BOUND, where r < 1.5e6 and r^2-1 < 2.25e12:
-   r-1 and r+1 each have at most 7 distinct primes, r^2-1 has at most 11 and
-   at most 6720 divisors.  Every write is still checked, and overflow raises
-   instead of corrupting memory; the tests build the kernel with tiny
-   capacities to see that happen. */
+/* Capacities for bound <= MAX_BOUND, where r < 1.5e6 and r^2-1 < 2.25e12.
+   The factor list of r^2-1 holds each of its distinct primes once (see
+   scan), and the product of the first 12 primes exceeds 2.25e12, so it has
+   at most 11 entries (at most 12 below 1e14); r^2-1 has at most 6720
+   divisors.  Every write is still checked, and overflow raises instead of
+   corrupting memory; the tests build the kernel with tiny capacities to see
+   that happen. */
 #ifndef MAX_FACTORS
 #define MAX_FACTORS 16
 #endif
@@ -126,11 +130,12 @@ build_spf(u64 limit)
     return spf;
 }
 
-/* Factor n (within the sieve) into ascending primes; sets *count. */
+/* Append the primes of n (within the sieve), ascending, with their
+   exponents, to primes and exps from entry *count on; advances *count. */
 static int
 factor(u64 n, const u32 *spf, u64 *primes, int *exps, int *count)
 {
-    int k = 0;
+    int k = *count;
     while (n > 1) {
         u64 p = spf[n];
         if (k == MAX_FACTORS)
@@ -145,28 +150,6 @@ factor(u64 n, const u32 *spf, u64 *primes, int *exps, int *count)
     }
     *count = k;
     return OK;
-}
-
-/* Merge two ascending factorizations; the output holds 2 * MAX_FACTORS. */
-static int
-merge_factors(const u64 *p1, const int *e1, int k1,
-              const u64 *p2, const int *e2, int k2, u64 *po, int *eo)
-{
-    int i = 0, j = 0, k = 0;
-    while (i < k1 || j < k2) {
-        if (j >= k2 || (i < k1 && p1[i] < p2[j])) {
-            po[k] = p1[i];
-            eo[k] = e1[i++];
-        } else if (i >= k1 || p2[j] < p1[i]) {
-            po[k] = p2[j];
-            eo[k] = e2[j++];
-        } else {
-            po[k] = p1[i];
-            eo[k] = e1[i++] + e2[j++];
-        }
-        k++;
-    }
-    return k;
 }
 
 /* Append (a, b, c, r_ab, r_ac, r_bc, r_abc) to found; -1 on error.
@@ -259,29 +242,32 @@ static int
 scan(u64 bound, u64 r_lo, u64 r_hi, const u32 *spf, u64 *divs,
      PyObject *found, u64 *pairs, u64 *candidates)
 {
-    u64 p1[MAX_FACTORS], p2[MAX_FACTORS], pm[2 * MAX_FACTORS];
-    int e1[MAX_FACTORS], e2[MAX_FACTORS], em[2 * MAX_FACTORS];
-    u64 r;
-    int err;
+    u64 primes[MAX_FACTORS], r;
+    int exps[MAX_FACTORS], err;
 
     for (r = r_lo; r < r_hi; r++) {
-        u64 n = r * r - 1;
-        int k1, k2, km, nd = 1, fi, e, di;
+        u64 n = r * r - 1, m = r + 1;
+        int k = 0, nd = 1, fi, e, di;
 
         if ((r & 0xfff) == 0 && check_signals() < 0)
             return -1;
-        if ((err = factor(r - 1, spf, p1, e1, &k1)) != OK
-                || (err = factor(r + 1, spf, p2, e2, &k2)) != OK)
+        /* n = (r-1)(r+1) as one list: gcd(r-1, r+1) divides 2, so only 2
+           can occur in both halves.  For odd r it is r-1's first prime, and
+           the 2s of r+1 are added to that entry (for even r, r+1 is odd). */
+        if ((err = factor(r - 1, spf, primes, exps, &k)) != OK)
             return err;
-        km = merge_factors(p1, e1, k1, p2, e2, k2, pm, em);
+        for (; !(m & 1); m >>= 1)
+            exps[0]++;
+        if ((err = factor(m, spf, primes, exps, &k)) != OK)
+            return err;
 
-        /* divisors of n from the merged factorization */
+        /* divisors of n from its factorization */
         divs[0] = 1;
-        for (fi = 0; fi < km; fi++) {
+        for (fi = 0; fi < k; fi++) {
             u64 pk = 1;
             int grown = nd;
-            for (e = 0; e < em[fi]; e++) {
-                pk *= pm[fi];
+            for (e = 0; e < exps[fi]; e++) {
+                pk *= primes[fi];
                 for (di = 0; di < nd; di++) {
                     if (grown == MAX_DIVISORS)
                         return OVERFLOW_DIVISORS;

@@ -14,7 +14,7 @@ import sys
 from typing import Optional
 
 from .certify import Certificate, DomainError, verify_four
-from .family import ConstructionError, TripleCandidate, make_companion, make_main
+from .family import ConstructionError, make_companion, make_main
 from .search import ORACLE_MAX_BOUND, brute_oracle, census_path, search_triples
 from .sequences import sequence_values
 from .symbolic import prove_identities
@@ -36,30 +36,18 @@ def _certificate_record(cert: Optional[Certificate]) -> Optional[dict]:
     }
 
 
-def _triple_record(cand: TripleCandidate) -> dict:
+def _record(n: Optional[int], variant: str, a: int, r: int, b: int, c: int,
+            s: int, admissible: bool, cert: Certificate) -> dict:
+    """One gen or search row, in CSV_COLUMNS order plus its certificate."""
     return {
-        "n": str(cand.n),
-        "variant": cand.variant,
-        "a": str(cand.a),
-        "r": str(cand.r),
-        "b": str(cand.b),
-        "c": str(cand.c),
-        "s": str(cand.s),
-        "admissible": cand.admissible,
-        "certificate": _certificate_record(cand.certificate()),
-    }
-
-
-def _search_record(a: int, b: int, c: int, cert: Certificate) -> dict:
-    return {
-        "n": None,
-        "variant": "external",
+        "n": _opt_str(n),
+        "variant": variant,
         "a": str(a),
-        "r": str(cert.r_ab),
+        "r": str(r),
         "b": str(b),
         "c": str(c),
-        "s": str(cert.r_abc),
-        "admissible": True,
+        "s": str(s),
+        "admissible": admissible,
         "certificate": _certificate_record(cert),
     }
 
@@ -93,22 +81,24 @@ def _emit_table(records: list) -> None:
         print("  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip())
 
 
-def _check_index(n: int, what: str) -> None:
-    if abs(n) > INDEX_CAP:
-        raise DomainError(f"{what} {n} exceeds the CLI index cap {INDEX_CAP}")
+def _check_index_range(start: int, stop: int) -> None:
+    for n in (start, stop):
+        if abs(n) > INDEX_CAP:
+            raise DomainError(f"index {n} exceeds the CLI index cap {INDEX_CAP}")
+    if start > stop:
+        raise DomainError(f"empty index range {start}..{stop}")
 
 
 def _cmd_gen(args) -> int:
-    _check_index(args.start, "index")
-    _check_index(args.stop, "index")
-    if args.start > args.stop:
-        raise DomainError(f"empty index range {args.start}..{args.stop}")
+    _check_index_range(args.start, args.stop)
     variants = ["main", "companion"] if args.variant == "both" else [args.variant]
     records = []
     for n in range(args.start, args.stop + 1):
         for variant in variants:
             cand = make_main(n) if variant == "main" else make_companion(n)
-            records.append(_triple_record(cand))
+            records.append(_record(cand.n, cand.variant, cand.a, cand.r,
+                                   cand.b, cand.c, cand.s, cand.admissible,
+                                   cand.certificate()))
     if args.format == "json":
         _emit_json("gen", {"records": records})
     elif args.format == "csv":
@@ -147,13 +137,16 @@ def _cmd_search(args) -> int:
         jobs = args.jobs if args.jobs is not None else int(env)
     except ValueError:
         raise DomainError(f"FOURSQ_JOBS must be an integer, got {env!r}") from None
-    # run first, so that the oracle's bound cap fails before any output
+    # check the census, then run the oracle, so that a census that cannot
+    # run and the oracle's bound cap both fail before any output
+    use_kernel, reason = census_path(args.max, args.pure, jobs)
     reference = brute_oracle(args.max) if args.oracle else None
-    use_kernel, reason = census_path(args.max, args.pure)
     print(f"search path: {'kernel' if use_kernel else 'pure Python'} "
           f"({reason})", file=sys.stderr)
     result = search_triples(args.max, jobs=jobs, force_pure=args.pure)
-    records = [_search_record(a, b, c, cert) for a, b, c, cert in result.triples]
+    records = [_record(None, "external", a, cert.r_ab, b, c, cert.r_abc,
+                       True, cert)
+               for a, b, c, cert in result.triples]
     if args.format == "json":
         _emit_json("search", {
             "bound": result.bound,
@@ -202,20 +195,14 @@ def _cmd_prove(args) -> int:
             print(f"{it.name:5} {status:7} {it.description}{note}")
             if it.residual is not None:
                 print(f"      residual: {it.residual.lift()!r}")
-        core_names = {f"I{k}" for k in range(1, 9)}
-        core = sum(1 for it in report.items
-                   if it.name in core_names and it.passed)
-        print(f"core identities: {core}/8 pass")
+        print(f"core identities: {report.core_passed}/{report.core_total} "
+              f"pass")
     return 0 if report.core_ok else 1
 
 
 def _cmd_seq(args) -> int:
-    name = args.name.upper()
-    _check_index(args.start, "index")
-    _check_index(args.stop, "index")
-    if args.start > args.stop:
-        raise DomainError(f"empty index range {args.start}..{args.stop}")
-    values = sequence_values(name, args.start, args.stop)
+    _check_index_range(args.start, args.stop)
+    values = sequence_values(args.name.upper(), args.start, args.stop)
     print(" ".join(str(v) for v in values))
     return 0
 

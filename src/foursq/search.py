@@ -9,8 +9,8 @@ into orbits under the unit r + sqrt(ab).  Each orbit holds a small seed
 per pair and follows their orbits up to the bound, square-testing bc+1
 (square by construction) and abc+1 on what they give (the tests are
 mask-filtered).  A compiled kernel covers the same scan for bounds whose
-arithmetic fits in 64 bits; the pure-Python path is the fallback and the
-reference for it.
+arithmetic fits in 64 bits (up to its exported MAX_BOUND); the pure-Python
+path is the fallback and the reference for it.
 
 `brute_oracle` is the deliberately dumb cross-check: double pair loop plus a
 full scan of c, never sharing code with the fast path.
@@ -31,10 +31,6 @@ try:
     from . import _kernel
 except ImportError:  # extension not built; pure Python carries the load
     _kernel = None
-
-# Largest bound whose abc+1 (< bound^3) stays below 2^63: past this the
-# kernel would overflow, so the arbitrary-precision path takes over.
-KERNEL_MAX_BOUND = 1_500_000
 
 ORACLE_MAX_BOUND = 2000
 
@@ -59,17 +55,23 @@ def kernel_loaded() -> bool:
     return _kernel is not None
 
 
-def census_path(bound: int, force_pure: bool = False) -> Tuple[bool, str]:
-    """Whether a census to `bound` runs in the kernel, and why (or why not)."""
+def census_path(bound: int, force_pure: bool = False,
+                jobs: int = 1) -> Tuple[bool, str]:
+    """Whether a census to `bound` on `jobs` workers runs in the kernel, and
+    why (or why not).  Raises DomainError for a census that cannot run."""
+    if bound < 3:
+        raise DomainError(f"search needs bound >= 3, got {bound}")
+    if jobs < 1:
+        raise DomainError(f"jobs must be >= 1, got {jobs}")
     if force_pure:
         return False, "--pure given"
     if os.environ.get("FOURSQ_PURE"):
         return False, "FOURSQ_PURE is set"
     if _kernel is None:
         return False, "kernel not built"
-    if bound > KERNEL_MAX_BOUND:
-        return False, (f"bound {bound} exceeds KERNEL_MAX_BOUND "
-                       f"{KERNEL_MAX_BOUND}")
+    if bound > _kernel.MAX_BOUND:
+        return False, (f"bound {bound} exceeds the kernel's MAX_BOUND "
+                       f"{_kernel.MAX_BOUND}")
     return True, "compiled kernel loaded"
 
 
@@ -95,13 +97,6 @@ def factorize(n: int, spf: List[int]) -> List[Tuple[int, int]]:
             e += 1
         out.append((p, e))
     return out
-
-
-def _merge_factors(f1, f2) -> List[Tuple[int, int]]:
-    merged = dict(f1)
-    for p, e in f2:
-        merged[p] = merged.get(p, 0) + e
-    return sorted(merged.items())
 
 
 def divisors(factors: List[Tuple[int, int]]) -> List[int]:
@@ -144,6 +139,11 @@ def unit_square_roots(m: int, spf: List[int]) -> Tuple[int, ...]:
     return tuple(sorted(z for z, _ in roots))
 
 
+def _r_max(bound: int) -> int:
+    """One past the largest r with ab+1 = r^2 for some a < b <= bound."""
+    return isqrt(bound * (bound - 1) + 1) + 1
+
+
 def find_pairs(bound: int, r_lo: int = 3, r_hi: Optional[int] = None
                ) -> Iterator[Tuple[int, int, int]]:
     """Yield every (a, b, r) with 2 <= a < b <= bound and ab+1 = r^2,
@@ -151,12 +151,16 @@ def find_pairs(bound: int, r_lo: int = 3, r_hi: Optional[int] = None
     if bound < 3:
         raise DomainError(f"pair enumeration needs bound >= 3, got {bound}")
     if r_hi is None:
-        r_hi = isqrt(bound * (bound - 1) + 1) + 1
+        r_hi = _r_max(bound)
     spf = spf_sieve(max(r_hi, 3))
-    for r in range(r_lo, r_hi):
+    for r in range(max(r_lo, 3), r_hi):  # r < 3 gives no pair
         n = r * r - 1
-        factors = _merge_factors(factorize(r - 1, spf), factorize(r + 1, spf))
-        small = [d for d in divisors(factors) if d * d < n]
+        # gcd(r-1, r+1) divides 2, so only 2 can occur in both lists; for
+        # odd r it leads both, and r+1's entry is added to r-1's
+        factors, upper = factorize(r - 1, spf), factorize(r + 1, spf)
+        if r % 2:
+            factors[0] = (2, factors[0][1] + upper.pop(0)[1])
+        small = [d for d in divisors(factors + upper) if d * d < n]
         small.sort()
         for a in small:
             if a < 2:
@@ -251,7 +255,7 @@ def _chunk_worker(args) -> Tuple[List[Tuple[int, ...]], int, int]:
 def _chunk_plan(bound: int, jobs: int, use_kernel: bool) -> List[tuple]:
     """The `_chunk_worker` arguments of a census: the whole r-range for one
     job, else about 4*jobs disjoint r-ranges (never more than r-values)."""
-    r_max = isqrt(bound * (bound - 1) + 1) + 1
+    r_max = _r_max(bound)
     if jobs == 1:
         return [(bound, 3, r_max, use_kernel)]
     n_chunks = 4 * jobs
@@ -316,12 +320,8 @@ def search_triples(bound: int, jobs: int = 1,
     processes on the pure path) cover disjoint r-ranges and the merged
     output is sorted and deduplicated.
     """
-    if bound < 3:
-        raise DomainError(f"search needs bound >= 3, got {bound}")
-    if jobs < 1:
-        raise DomainError(f"jobs must be >= 1, got {jobs}")
     start = time.monotonic()
-    use_kernel, _ = census_path(bound, force_pure)
+    use_kernel, _ = census_path(bound, force_pure, jobs)
     chunks = _chunk_plan(bound, jobs, use_kernel)
     workers = min(jobs, len(chunks))
     if workers <= 1:

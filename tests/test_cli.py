@@ -3,11 +3,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from foursq import search
+from foursq import cli, forms, search, symbolic
 from foursq.cli import INDEX_CAP, main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -141,21 +143,32 @@ def test_search_reports_kernel_not_built(capsys, monkeypatch):
     (["--pure"], None, None, "pure Python (--pure given)"),
     ([], "1", None, "pure Python (FOURSQ_PURE is set)"),
     ([], None, 299,
-     "pure Python (bound 300 exceeds KERNEL_MAX_BOUND 299)"),
+     "pure Python (bound 300 exceeds the kernel's MAX_BOUND 299)"),
 ])
 def test_search_reports_path_and_reason(capsys, monkeypatch, kernel,
                                         extra, env, cap, line):
     monkeypatch.setattr(search, "_kernel", None)
     _, pure_out, _ = run_cli(capsys, *SEARCH_ARGV)
+    if cap is not None:  # the cap is the loaded kernel's, not a constant here
+        kernel = SimpleNamespace(MAX_BOUND=cap,
+                                 census_chunk=kernel.census_chunk)
     monkeypatch.setattr(search, "_kernel", kernel)
+    monkeypatch.delenv("FOURSQ_PURE", raising=False)
     if env is not None:
         monkeypatch.setenv("FOURSQ_PURE", env)
-    if cap is not None:
-        monkeypatch.setattr(search, "KERNEL_MAX_BOUND", cap)
     code, out, err = run_cli(capsys, *SEARCH_ARGV, *extra)
     assert code == 0
     assert err.splitlines()[0] == f"search path: {line}"
     assert out == pure_out  # the path shows on stderr only
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--max", "2"], "error: search needs bound >= 3, got 2"),
+    (["--max", "100", "--jobs", "0"], "error: jobs must be >= 1, got 0"),
+])
+def test_search_that_cannot_run_names_no_path(capsys, argv, message):
+    code, out, err = run_cli(capsys, "search", *argv)
+    assert (code, out, err) == (2, "", message + "\n")
 
 
 def test_search_empty_and_usage(capsys):
@@ -208,6 +221,19 @@ def test_prove_table(capsys):
         assert name in out
 
 
+def test_prove_table_counts_core_identities_from_the_report(capsys,
+                                                            monkeypatch):
+    broken = dict(forms.ROOT_R)
+    broken[(3, 0)] += Fraction(1)
+    report = symbolic.prove_identities({"r": broken})
+    monkeypatch.setattr(cli, "prove_identities", lambda: report)
+    code, out, _ = run_cli(capsys, "prove")
+    assert code == 1
+    assert 0 < report.core_passed < 8
+    assert out.splitlines()[-1] == (
+        f"core identities: {report.core_passed}/8 pass")
+
+
 def test_prove_json(capsys):
     code, out, _ = run_cli(capsys, "prove", "--format", "json")
     assert code == 0
@@ -250,6 +276,52 @@ def test_families_stdout_matches_golden_digest(capsys, monkeypatch, argv,
     monkeypatch.delenv("FOURSQ_COLOR", raising=False)
     code, out, _ = run_cli(capsys, *argv.split())
     assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of search stdout, recorded from the census that factored r-1 and
+# r+1 separately and merged the two lists.  The path does not change stdout:
+# "pure Python" and "kernel" force one, None takes the one search picks.
+GOLDEN_SEARCH_STDOUT = [
+    ("search --max 2000 --format json", None,
+     "16462db88e4c81abbaef1bd86ffdc2e47f115cd72ac2b91684720601c6765cfe"),
+    ("search --max 2000 --format json --pure", None,
+     "16462db88e4c81abbaef1bd86ffdc2e47f115cd72ac2b91684720601c6765cfe"),
+    ("search --max 2000 --format csv", None,
+     "b3fdf543706d033e77c9e8062902bc07168c99f5db936d94a721162c3b81dbd9"),
+    ("search --max 2000 --format csv --pure", None,
+     "b3fdf543706d033e77c9e8062902bc07168c99f5db936d94a721162c3b81dbd9"),
+    ("search --max 2000 --format table", None,
+     "ee9c21265228fcb5d552cfe75cd99a7737baccea07a0f594f61b3f15e341f7b2"),
+    ("search --max 2000 --format table --pure", None,
+     "ee9c21265228fcb5d552cfe75cd99a7737baccea07a0f594f61b3f15e341f7b2"),
+    ("search --max 20000 --jobs 2 --format json", "pure Python",
+     "1f5325c4149419c8d13d8d2db9e2b486ebe0c1e87c642e8488c2c611868bfdc9"),
+    ("search --max 20000 --jobs 2 --format json", "kernel",
+     "1f5325c4149419c8d13d8d2db9e2b486ebe0c1e87c642e8488c2c611868bfdc9"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,path,digest", GOLDEN_SEARCH_STDOUT,
+    ids=[argv + (f" [{path}]" if path else "")
+         for argv, path, _ in GOLDEN_SEARCH_STDOUT])
+def test_search_stdout_matches_golden_digest(capsys, monkeypatch, request,
+                                             argv, path, digest):
+    monkeypatch.delenv("FOURSQ_COLOR", raising=False)
+    monkeypatch.delenv("FOURSQ_PURE", raising=False)
+    if path == "pure Python":
+        monkeypatch.setattr(search, "_kernel", None)
+    elif path == "kernel":  # the threaded kernel path, even if not built
+        def no_pool(*args, **kwargs):
+            raise AssertionError("kernel chunks went to a process pool")
+        monkeypatch.setattr(search, "_kernel",
+                            request.getfixturevalue("kernel"))
+        monkeypatch.setattr(search, "Pool", no_pool)
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 0
+    if path is not None:
+        assert err.startswith(f"search path: {path} (")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

@@ -9,9 +9,9 @@ import pytest
 
 from foursq import (DomainError, brute_oracle, find_pairs, make_companion,
                     make_main, search, search_triples, verify_four)
-from foursq.search import (KERNEL_MAX_BOUND, ORACLE_MAX_BOUND,
-                           _census_chunk_py, _chunk_plan, divisors, factorize,
-                           pell_orbit, spf_sieve, unit_square_roots)
+from foursq.search import (ORACLE_MAX_BOUND, _census_chunk_py, _chunk_plan,
+                           divisors, factorize, pell_orbit, spf_sieve,
+                           unit_square_roots)
 
 SECTION1 = [
     (5, 7, 24), (8, 45, 91), (8, 105, 171), (3, 133, 176), (11, 105, 184),
@@ -191,10 +191,10 @@ def test_kernel_chunk_equals_pure_chunk(bound, kernel):
 ])
 def test_kernel_chunk_equals_pure_chunk_at_the_kernel_cap(kernel, r_lo, r_hi,
                                                           counts):
-    # at KERNEL_MAX_BOUND the kernel's 64-bit ranges are widest; the pure
+    # at the kernel's MAX_BOUND its 64-bit ranges are widest; the pure
     # sieve reaches only r_hi, so r-windows there are cheap to compare
-    pure = _sorted_chunk(_census_chunk_py(KERNEL_MAX_BOUND, r_lo, r_hi))
-    assert _sorted_chunk(kernel.census_chunk(KERNEL_MAX_BOUND, r_lo,
+    pure = _sorted_chunk(_census_chunk_py(kernel.MAX_BOUND, r_lo, r_hi))
+    assert _sorted_chunk(kernel.census_chunk(kernel.MAX_BOUND, r_lo,
                                              r_hi)) == pure
     assert (len(pure[0]), pure[1], pure[2]) == counts
 
@@ -231,7 +231,6 @@ def test_kernel_chunk_edges(kernel):
 
 
 def test_kernel_rejects_bounds_outside_its_range(kernel):
-    assert kernel.MAX_BOUND == KERNEL_MAX_BOUND
     for bound in (-1, 2, kernel.MAX_BOUND + 1):
         with pytest.raises(ValueError):
             kernel.census_chunk(bound, 3, 10)
@@ -259,8 +258,8 @@ def test_kernel_capacity_overflow_raises(build_kernel, cap, monkeypatch):
         search_triples(2000, jobs=2)
 
 
-def test_kernel_compiles_without_warnings(build_kernel):
-    assert build_kernel("-Wall", "-Werror").MAX_BOUND == KERNEL_MAX_BOUND
+def test_kernel_compiles_without_warnings(build_kernel, kernel):
+    assert build_kernel("-Wall", "-Werror").MAX_BOUND == kernel.MAX_BOUND
 
 
 def test_kernel_releases_the_gil_while_it_scans(kernel):

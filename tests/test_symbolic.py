@@ -141,6 +141,7 @@ def test_transcribed_forms_reduce_consistently_on_conic_points():
 def test_prove_identities_all_pass():
     report = prove_identities()
     assert report.core_ok
+    assert (report.core_passed, report.core_total) == (8, 8)
     for name in [f"I{k}" for k in range(1, 9)]:
         item = report[name]
         assert item.passed, f"{name} failed with residual {item.residual}"
@@ -184,6 +185,7 @@ def test_single_coefficient_mutations_are_caught(key, base, mono):
     failed = [it for it in mutated.items
               if not it.passed and it.name in {f"I{k}" for k in range(1, 9)}]
     assert failed
+    assert (mutated.core_passed, mutated.core_total) == (8 - len(failed), 8)
     assert all(it.residual is not None and not it.residual.is_zero()
                for it in failed)
 
