@@ -12,7 +12,9 @@ With --json, it times the path `search` takes (the kernel when it loads) at
 one and two jobs instead, checks that both give the same census, and appends
 the run to a trajectory file: the commit, whether src/ differs from it, the
 Python version, the core count, whether the kernel loaded, and per bound and
-job count the best-of-3 wall time, triples, pairs and candidates.
+job count the wall time of each of 5 runs with their best and median,
+triples, pairs and candidates.  On a shared machine the best alone can swing
+2x between runs of the same code; the times show the spread.
 
     python benchmarks/bench_search.py --json BENCH_census.json
 """
@@ -21,6 +23,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import time
@@ -33,7 +36,7 @@ from foursq import kernel_loaded, search_triples  # noqa: E402
 
 TRAJECTORY_BOUNDS = [50_000, 200_000, 1_000_000]
 TRAJECTORY_JOBS = (1, 2)
-REPEATS = 3
+REPEATS = 5
 
 
 def time_search(bound, jobs, force_pure):
@@ -49,7 +52,7 @@ def _git(*args):
 
 def trajectory_run(bounds):
     """One trajectory entry: the environment, then a row per bound and job
-    count with the best of REPEATS wall times."""
+    count with its REPEATS wall times, their best and their median."""
     rows = []
     for bound in bounds:
         census = None
@@ -57,6 +60,7 @@ def trajectory_run(bounds):
             timed = [time_search(bound, jobs, force_pure=False)
                      for _ in range(REPEATS)]
             result = timed[0][0]
+            times = [t for _, t in timed]
             got = (result.triples, result.stats.pairs_scanned,
                    result.stats.candidates_tested)
             if census is None:
@@ -64,7 +68,9 @@ def trajectory_run(bounds):
             elif got != census:
                 raise SystemExit(f"jobs={jobs} differs from one job at {bound}")
             rows.append({"bound": bound, "jobs": jobs,
-                         "best_s": round(min(t for _, t in timed), 4),
+                         "best_s": round(min(times), 4),
+                         "median_s": round(statistics.median(times), 4),
+                         "times_s": [round(t, 4) for t in times],
                          "triples": len(result.triples),
                          "pairs": result.stats.pairs_scanned,
                          "candidates": result.stats.candidates_tested})

@@ -9,7 +9,6 @@ byte-identical across runs for identical arguments.
 import argparse
 import csv
 import json
-import os
 import sys
 from typing import Optional
 
@@ -65,18 +64,12 @@ def _emit_csv(records: list) -> None:
                          for col in CSV_COLUMNS])
 
 
-def _bold(s: str) -> str:
-    if os.environ.get("FOURSQ_COLOR") == "1":
-        return f"\x1b[1m{s}\x1b[0m"
-    return s
-
-
 def _emit_table(records: list) -> None:
     rows = [[("" if rec[col] is None else str(rec[col])) for col in CSV_COLUMNS]
             for rec in records]
     widths = [max(len(CSV_COLUMNS[i]), *(len(r[i]) for r in rows)) if rows
               else len(CSV_COLUMNS[i]) for i in range(len(CSV_COLUMNS))]
-    print(_bold("  ".join(h.ljust(w) for h, w in zip(CSV_COLUMNS, widths))))
+    print("  ".join(h.ljust(w) for h, w in zip(CSV_COLUMNS, widths)))
     for r in rows:
         print("  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip())
 
@@ -132,18 +125,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    env = os.environ.get("FOURSQ_JOBS", "1")
-    try:
-        jobs = args.jobs if args.jobs is not None else int(env)
-    except ValueError:
-        raise DomainError(f"FOURSQ_JOBS must be an integer, got {env!r}") from None
     # check the census, then run the oracle, so that a census that cannot
     # run and the oracle's bound cap both fail before any output
-    use_kernel, reason = census_path(args.max, args.pure, jobs)
+    use_kernel, reason = census_path(args.max, args.pure, args.jobs)
     reference = brute_oracle(args.max) if args.oracle else None
     print(f"search path: {'kernel' if use_kernel else 'pure Python'} "
           f"({reason})", file=sys.stderr)
-    result = search_triples(args.max, jobs=jobs, force_pure=args.pure)
+    result = search_triples(args.max, jobs=args.jobs, force_pure=args.pure)
     records = [_record(None, "external", a, cert.r_ab, b, c, cert.r_abc,
                        True, cert)
                for a, b, c, cert in result.triples]
@@ -188,7 +176,7 @@ def _cmd_prove(args) -> int:
             "core_ok": report.core_ok,
         })
     else:
-        print(_bold(f"{'name':5} {'status':7} description"))
+        print(f"{'name':5} {'status':7} description")
         for it in report.items:
             status = "pass" if it.passed else "FAIL"
             note = f"  [{it.note}]" if it.note else ""
@@ -231,8 +219,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="exhaustive census up to a bound")
     p.add_argument("--max", type=int, required=True, help="upper bound for c")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="parallel workers (default $FOURSQ_JOBS or 1)")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="parallel workers (default 1)")
     p.add_argument("--oracle", action="store_true",
                    help=f"cross-check against the brute-force reference "
                         f"(bound <= {ORACLE_MAX_BOUND})")

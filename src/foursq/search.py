@@ -17,7 +17,6 @@ full scan of c, never sharing code with the fast path.
 """
 
 import math
-import os
 import threading
 import time
 from collections import deque
@@ -33,6 +32,9 @@ except ImportError:  # extension not built; pure Python carries the load
     _kernel = None
 
 ORACLE_MAX_BOUND = 2000
+# The pure census sieves r up to about the bound, at about 40 bytes a list
+# entry: 400 MB at this cap.
+PURE_MAX_BOUND = 10**7
 
 Triple = Tuple[int, int, int, Certificate]
 
@@ -64,15 +66,19 @@ def census_path(bound: int, force_pure: bool = False,
     if jobs < 1:
         raise DomainError(f"jobs must be >= 1, got {jobs}")
     if force_pure:
-        return False, "--pure given"
-    if os.environ.get("FOURSQ_PURE"):
-        return False, "FOURSQ_PURE is set"
-    if _kernel is None:
-        return False, "kernel not built"
-    if bound > _kernel.MAX_BOUND:
-        return False, (f"bound {bound} exceeds the kernel's MAX_BOUND "
-                       f"{_kernel.MAX_BOUND}")
-    return True, "compiled kernel loaded"
+        reason = "--pure given"
+    elif _kernel is None:
+        reason = "kernel not built"
+    elif bound > _kernel.MAX_BOUND:
+        reason = (f"bound {bound} exceeds the kernel's MAX_BOUND "
+                  f"{_kernel.MAX_BOUND}")
+    else:
+        return True, "compiled kernel loaded"
+    if bound > PURE_MAX_BOUND:
+        raise DomainError(
+            f"bound {bound} exceeds the pure census cap {PURE_MAX_BOUND}: "
+            f"its sieve would take about {40 * _r_max(bound) // 10**6} MB")
+    return False, reason
 
 
 def spf_sieve(limit: int) -> List[int]:

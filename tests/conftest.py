@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from foursq import search
+
 REPO = Path(__file__).resolve().parent.parent
 
 
@@ -47,3 +49,11 @@ def build_kernel(tmp_path_factory):
 def kernel(build_kernel):
     """The census kernel as `setup.py` builds it."""
     return build_kernel()
+
+
+@pytest.fixture
+def no_sieve(monkeypatch):
+    """Fail the test if the census builds its sieve."""
+    def sieve(limit):
+        raise AssertionError(f"a sieve to {limit} was built")
+    monkeypatch.setattr(search, "spf_sieve", sieve)

@@ -138,24 +138,19 @@ def test_search_reports_kernel_not_built(capsys, monkeypatch):
     assert err.splitlines()[0] == "search path: pure Python (kernel not built)"
 
 
-@pytest.mark.parametrize("extra,env,cap,line", [
-    ([], None, None, "kernel (compiled kernel loaded)"),
-    (["--pure"], None, None, "pure Python (--pure given)"),
-    ([], "1", None, "pure Python (FOURSQ_PURE is set)"),
-    ([], None, 299,
-     "pure Python (bound 300 exceeds the kernel's MAX_BOUND 299)"),
+@pytest.mark.parametrize("extra,cap,line", [
+    ([], None, "kernel (compiled kernel loaded)"),
+    (["--pure"], None, "pure Python (--pure given)"),
+    ([], 299, "pure Python (bound 300 exceeds the kernel's MAX_BOUND 299)"),
 ])
 def test_search_reports_path_and_reason(capsys, monkeypatch, kernel,
-                                        extra, env, cap, line):
+                                        extra, cap, line):
     monkeypatch.setattr(search, "_kernel", None)
     _, pure_out, _ = run_cli(capsys, *SEARCH_ARGV)
     if cap is not None:  # the cap is the loaded kernel's, not a constant here
         kernel = SimpleNamespace(MAX_BOUND=cap,
                                  census_chunk=kernel.census_chunk)
     monkeypatch.setattr(search, "_kernel", kernel)
-    monkeypatch.delenv("FOURSQ_PURE", raising=False)
-    if env is not None:
-        monkeypatch.setenv("FOURSQ_PURE", env)
     code, out, err = run_cli(capsys, *SEARCH_ARGV, *extra)
     assert code == 0
     assert err.splitlines()[0] == f"search path: {line}"
@@ -165,8 +160,11 @@ def test_search_reports_path_and_reason(capsys, monkeypatch, kernel,
 @pytest.mark.parametrize("argv,message", [
     (["--max", "2"], "error: search needs bound >= 3, got 2"),
     (["--max", "100", "--jobs", "0"], "error: jobs must be >= 1, got 0"),
+    (["--max", "100000000"], "error: bound 100000000 exceeds the pure "
+     "census cap 10000000: its sieve would take about 4000 MB"),
 ])
-def test_search_that_cannot_run_names_no_path(capsys, argv, message):
+def test_search_that_cannot_run_names_no_path(capsys, no_sieve, argv,
+                                              message):
     code, out, err = run_cli(capsys, "search", *argv)
     assert (code, out, err) == (2, "", message + "\n")
 
@@ -271,9 +269,7 @@ GOLDEN_STDOUT = [
 
 @pytest.mark.parametrize("argv,digest", GOLDEN_STDOUT,
                          ids=[argv for argv, _ in GOLDEN_STDOUT])
-def test_families_stdout_matches_golden_digest(capsys, monkeypatch, argv,
-                                               digest):
-    monkeypatch.delenv("FOURSQ_COLOR", raising=False)
+def test_families_stdout_matches_golden_digest(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -308,8 +304,6 @@ GOLDEN_SEARCH_STDOUT = [
          for argv, path, _ in GOLDEN_SEARCH_STDOUT])
 def test_search_stdout_matches_golden_digest(capsys, monkeypatch, request,
                                              argv, path, digest):
-    monkeypatch.delenv("FOURSQ_COLOR", raising=False)
-    monkeypatch.delenv("FOURSQ_PURE", raising=False)
     if path == "pure Python":
         monkeypatch.setattr(search, "_kernel", None)
     elif path == "kernel":  # the threaded kernel path, even if not built
@@ -382,27 +376,29 @@ def test_seq_usage_errors(capsys):
     assert run_cli(capsys, "seq", "A", "0", "10001")[0] == 2
 
 
-def test_color_env_toggles_ansi(capsys, monkeypatch):
-    monkeypatch.setenv("FOURSQ_COLOR", "1")
-    _, colored, _ = run_cli(capsys, "gen", "0", "0", "main")
-    monkeypatch.delenv("FOURSQ_COLOR")
-    _, plain, _ = run_cli(capsys, "gen", "0", "0", "main")
-    assert "\x1b[1m" in colored and "\x1b[1m" not in plain
+def test_the_environment_does_not_configure_the_cli(capsys, monkeypatch,
+                                                     kernel):
+    former = {"FOURSQ_PURE": "1", "FOURSQ_JOBS": "x", "FOURSQ_COLOR": "1"}
+    monkeypatch.setattr(search, "_kernel", kernel)
+    for name in former:
+        monkeypatch.delenv(name, raising=False)
+    _, unset_out, _ = run_cli(capsys, *SEARCH_ARGV)
+    for name, value in former.items():
+        monkeypatch.setenv(name, value)
+    code, out, err = run_cli(capsys, *SEARCH_ARGV)
+    assert (code, out) == (0, unset_out)
+    assert err.splitlines()[0] == "search path: kernel (compiled kernel loaded)"
+    code, out, _ = run_cli(capsys, "gen", "0", "0", "main")
+    assert code == 0 and "\x1b" not in out
 
 
-def test_jobs_env_default(capsys, monkeypatch):
-    baseline = run_cli(capsys, "search", "--max", "300", "--format", "json")[1]
-    monkeypatch.setenv("FOURSQ_JOBS", "2")
-    code, out, _ = run_cli(capsys, "search", "--max", "300", "--format", "json")
-    assert code == 0
-    assert out == baseline  # byte-identical regardless of worker count
-
-
-def test_jobs_env_must_be_an_integer(capsys, monkeypatch):
-    monkeypatch.setenv("FOURSQ_JOBS", "x")
-    code, out, err = run_cli(capsys, "search", "--max", "300")
-    assert (code, out) == (2, "")
-    assert "FOURSQ_JOBS" in err
+def test_the_package_reads_no_environment():
+    # settings come from arguments only; a hidden one fails here
+    src = REPO / "src" / "foursq"
+    for path in sorted(src.glob("*.py")) + [src / "_kernel.c"]:
+        text = path.read_text()
+        for read in ("os.environ", "os.getenv", "getenv("):
+            assert read not in text, f"{path.name} reads the environment"
 
 
 @pytest.mark.parametrize("argv,code", [

@@ -244,7 +244,6 @@ def _use_kernel(monkeypatch, kernel):
         raise AssertionError("kernel chunks went to a process pool")
     monkeypatch.setattr(search, "_kernel", kernel)
     monkeypatch.setattr(search, "Pool", no_pool)
-    monkeypatch.delenv("FOURSQ_PURE", raising=False)
 
 
 @pytest.mark.parametrize("cap", ["MAX_FACTORS", "MAX_DIVISORS"])
@@ -392,7 +391,7 @@ def test_brute_oracle_cap():
         brute_oracle(ORACLE_MAX_BOUND + 1)
 
 
-def test_bound_validation():
+def test_bound_validation(no_sieve):
     with pytest.raises(DomainError):
         search_triples(2)
     with pytest.raises(DomainError):
@@ -401,3 +400,5 @@ def test_bound_validation():
         search_triples(100, jobs=0)
     with pytest.raises(DomainError):
         list(find_pairs(2))
+    with pytest.raises(DomainError):
+        search_triples(10**7 + 1, force_pure=True)
