@@ -8,9 +8,24 @@
  * c0 = (s0^2-1)/a (see pell_orbit); the kernel differs only in visiting
  * the pairs of each r unsorted.
  *
+ * Pair window: the pairs of r are the divisors a of n = r^2-1 with
+ * 2 <= a < b = n/a <= bound.  a < n/a is a*a < n, that is a < r (r^2 > n >
+ * (r-1)^2), and n/a <= bound is a >= n/bound, so for an integer a it is
+ * a >= a_lo = max(2, ceil(n/bound)).  The scan builds only the divisors
+ * below r and divides n/a only for those at or above a_lo.
+ *
  * S >= 1 for every pair: ab+1 = r^2 rules out b = a+1, so b >= a+2, and
  * then r <= (a+b)/2, so a(b-a) - 2(r-1) >= (a-1)(b-a-2) >= 0.  Hence
- * C = (S^2-1)/a never wraps.
+ * C = (S^2-1)/a never wraps.  c0 = 0 is a seed of every pair
+ * (a*0 + 1 = b*0 + 1 = 1), so the kernel follows s0 = t0 = 1 without
+ * square-testing 1 and counts it as a tested seed, as the pure path does.
+ *
+ * The root of bc+1 is the orbit's t: every iterate solves
+ * a*t^2 - b*s^2 = a - b, and s^2 == 1 (mod a) holds for s0 and is kept by
+ * the step (s' = a*t + r*s == r*s and r^2 == 1 (mod a)), so with
+ * c = (s^2-1)/a, bc+1 = (b*s^2 - b + a)/a = t^2.  Past the seed every
+ * iterate has t > 0 (see search.pell_orbit), so t is the certificate's
+ * r_bc.  The kernel still checks t*t == b*c + 1 before it takes t.
  *
  * MAX_BOUND is set here only: the module exports it, and
  * search.census_path sends larger bounds to the pure path.
@@ -23,7 +38,11 @@
  * s <= s_max has |t| < s * sqrt(b/a), since a*t^2 = b*s^2 - (b-a); so the
  * one step taken past s_max gives s' = a*t + r*s < 2*r*s_max and
  * t' = r*t + b*s < (2*b + 1)*s_max, both below about 4.5e12, far under
- * 2^63.
+ * 2^63, and a candidate's t*t = bc+1 <= bound^2 + 1.  Every isqrt64
+ * argument is below 2^63, so it converts through int64_t: r_max's
+ * bound*(bound-1) + 1 and s_max's a*bound + 1 are below 2.25e12, the seed
+ * bound a(b-a)/(2(r-1)) <= b^2/16 is below 1.5e11, and the square tests take
+ * a*c0 + 1 < 1.5e11, b*c0 + 1 < 5.7e11 and abc+1 < 3.4e18.
  *
  * Threads: census_chunk releases the GIL for the sieve and the whole scan,
  * and takes it back only to append a found triple (rare) and for the
@@ -51,10 +70,12 @@ typedef uint32_t u32;
 /* Capacities for bound <= MAX_BOUND, where r < 1.5e6 and r^2-1 < 2.25e12.
    The factor list of r^2-1 holds each of its distinct primes once (see
    scan), and the product of the first 12 primes exceeds 2.25e12, so it has
-   at most 11 entries (at most 12 below 1e14); r^2-1 has at most 6720
-   divisors.  Every write is still checked, and overflow raises instead of
-   corrupting memory; the tests build the kernel with tiny capacities to see
-   that happen. */
+   at most 11 entries (at most 12 below 1e14).  r^2-1 has at most 6720
+   divisors, and the divisor buffer holds only those below r, at most half
+   of them (d and n/d pair off, and r is not one): 3360.  MAX_DIVISORS
+   leaves room for larger bounds.  Every write is still checked, and
+   overflow raises instead of corrupting memory; the tests build the kernel
+   with tiny capacities to see that happen. */
 #ifndef MAX_FACTORS
 #define MAX_FACTORS 16
 #endif
@@ -85,11 +106,13 @@ init_masks(void)
 }
 
 /* Floor square root of v < 2^63: the double estimate is off by at most a
-   few units at this size, so it is corrected in both directions. */
+   few units at this size, so it is corrected in both directions.  The
+   conversions go through int64_t, which both ways are single instructions
+   on x86-64 where u64 ones are not; v < 2^63 keeps them exact. */
 static u64
 isqrt64(u64 v)
 {
-    u64 x = (u64)sqrt((double)v);
+    u64 x = (u64)(int64_t)sqrt((double)(int64_t)v);
     while (x > 0 && x * x > v)
         x--;
     while ((x + 1) * (x + 1) <= v)
@@ -184,15 +207,16 @@ check_signals(void)
 
 /* Follow the orbit of (t, s) under (t, s) <- (r*t + b*s, a*t + r*s) and
    test c = (s^2-1)/a for each iterate with r < s <= s_max, as in
-   search.pell_orbit, which also says why the loop ends.  Returns 0, or -1
-   with a Python exception set. */
+   search.pell_orbit, which also says why the loop ends.  The iterate's t is
+   the root of bc+1 (see the header).  Returns 0, or -1 with a Python
+   exception set. */
 static int
 follow_orbit(u64 a, u64 b, u64 r, u64 s_max, int64_t t, int64_t s,
              PyObject *found, u64 *candidates)
 {
     for (;;) {
         int64_t t_next = (int64_t)r * t + (int64_t)b * s;
-        u64 c, t_bc, u;
+        u64 c, u;
         s = (int64_t)a * t + (int64_t)r * s;
         t = t_next;
         if (t > 0 && s > (int64_t)s_max)
@@ -201,8 +225,9 @@ follow_orbit(u64 a, u64 b, u64 r, u64 s_max, int64_t t, int64_t s,
             continue;
         (*candidates)++;
         c = ((u64)s * (u64)s - 1) / a;
-        if (square_root(b * c + 1, &t_bc) && square_root(a * b * c + 1, &u)
-                && append_triple(found, a, b, c, r, (u64)s, t_bc, u) < 0)
+        if (t > 0 && (u64)t * (u64)t == b * c + 1
+                && square_root(a * b * c + 1, &u)
+                && append_triple(found, a, b, c, r, (u64)s, (u64)t, u) < 0)
             return -1;
     }
 }
@@ -212,7 +237,8 @@ follow_orbit(u64 a, u64 b, u64 r, u64 s_max, int64_t t, int64_t s,
    b*c0 + 1 = t0^2, c0 = (s0^2-1)/a.  The seed search is search.pell_orbit's:
    scan c0 = 0..C, C = (S^2-1)/a, for a square a*c0 + 1 = s0^2, C+1 tests,
    most rejected by the residue masks, where s0 = 1..S would take S.  c0 and
-   s0 rise together, so the seeds come in ascending order.
+   s0 rise together, so the seeds come in ascending order.  The seed c0 = 0
+   (s0 = t0 = 1) needs no square test.
    Returns 0, or -1 with a Python exception set. */
 static int
 pell_orbit(u64 a, u64 b, u64 r, u64 s_max, PyObject *found, u64 *candidates)
@@ -221,7 +247,11 @@ pell_orbit(u64 a, u64 b, u64 r, u64 s_max, PyObject *found, u64 *candidates)
     u64 c0_max = (seed_max * seed_max - 1) / a;
     u64 s0, c0, t0;
 
-    for (c0 = 0; c0 <= c0_max; c0++) {
+    (*candidates)++;
+    if (follow_orbit(a, b, r, s_max, 1, 1, found, candidates) < 0
+            || follow_orbit(a, b, r, s_max, -1, 1, found, candidates) < 0)
+        return -1;
+    for (c0 = 1; c0 <= c0_max; c0++) {
         if (!square_root(a * c0 + 1, &s0))
             continue;
         (*candidates)++;
@@ -246,7 +276,7 @@ scan(u64 bound, u64 r_lo, u64 r_hi, const u32 *spf, u64 *divs,
     int exps[MAX_FACTORS], err;
 
     for (r = r_lo; r < r_hi; r++) {
-        u64 n = r * r - 1, m = r + 1;
+        u64 n = r * r - 1, m = r + 1, a_lo;
         int k = 0, nd = 1, fi, e, di;
 
         if ((r & 0xfff) == 0 && check_signals() < 0)
@@ -261,30 +291,39 @@ scan(u64 bound, u64 r_lo, u64 r_hi, const u32 *spf, u64 *divs,
         if ((err = factor(m, spf, primes, exps, &k)) != OK)
             return err;
 
-        /* divisors of n from its factorization */
+        /* the divisors of n below r, from its factorization: a product
+           at or above r only grows as further prime powers join it */
         divs[0] = 1;
         for (fi = 0; fi < k; fi++) {
             u64 pk = 1;
             int grown = nd;
             for (e = 0; e < exps[fi]; e++) {
                 pk *= primes[fi];
+                if (pk >= r)
+                    break;
                 for (di = 0; di < nd; di++) {
+                    u64 d = divs[di] * pk;
+                    if (d >= r)
+                        continue;
                     if (grown == MAX_DIVISORS)
                         return OVERFLOW_DIVISORS;
-                    divs[grown++] = divs[di] * pk;
+                    divs[grown++] = d;
                 }
             }
             nd = grown;
         }
-        /* each divisor a with 2 <= a < n/a = b <= bound is a pair */
+        /* the pairs: a_lo <= a < r (see the header) */
+        a_lo = (n + bound - 1) / bound;
+        if (a_lo < 2)
+            a_lo = 2;
         for (di = 0; di < nd; di++) {
-            u64 a = divs[di], b, s_max;
-            if (a < 2 || a * a >= n || (b = n / a) > bound)
+            u64 a = divs[di], s_max;
+            if (a < a_lo)
                 continue;
             s_max = isqrt64(a * bound + 1);
             (*pairs)++;
             if (s_max > r
-                    && pell_orbit(a, b, r, s_max, found, candidates) < 0)
+                    && pell_orbit(a, n / a, r, s_max, found, candidates) < 0)
                 return -1;
         }
     }

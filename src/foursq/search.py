@@ -6,11 +6,11 @@ ab+1 = r^2.  For each pair, every c > b with ac+1 = s^2 and bc+1 = t^2
 solves the Pell-type equation a*t^2 - b*s^2 = a - b, whose solutions fall
 into orbits under the unit r + sqrt(ab).  Each orbit holds a small seed
 (Nagell's bound, see `pell_orbit`), so the census tests a handful of seeds
-per pair and follows their orbits up to the bound, square-testing bc+1
-(square by construction) and abc+1 on what they give (the tests are
-mask-filtered).  A compiled kernel covers the same scan for bounds whose
-arithmetic fits in 64 bits (up to its exported MAX_BOUND); the pure-Python
-path is the fallback and the reference for it.
+per pair and follows their orbits up to the bound.  Each iterate (t, s)
+gives c = (s^2-1)/a with bc+1 = t^2 by construction (checked, not searched
+for) and a mask-filtered square test of abc+1.  A compiled kernel covers the
+same scan for bounds whose arithmetic fits in 64 bits (up to its exported
+MAX_BOUND); the pure-Python path is the fallback and the reference for it.
 
 `brute_oracle` is the deliberately dumb cross-check: double pair loop plus a
 full scan of c, never sharing code with the fast path.
@@ -153,7 +153,12 @@ def _r_max(bound: int) -> int:
 def find_pairs(bound: int, r_lo: int = 3, r_hi: Optional[int] = None
                ) -> Iterator[Tuple[int, int, int]]:
     """Yield every (a, b, r) with 2 <= a < b <= bound and ab+1 = r^2,
-    ordered by r and then by a."""
+    ordered by r and then by a.
+
+    The pairs of r are the divisors a of n = r^2-1 in the window
+    a_lo <= a < r: a < b = n/a is a*a < n, that is a < r, and b <= bound is
+    a >= n/bound, so a_lo = max(2, ceil(n/bound)).
+    """
     if bound < 3:
         raise DomainError(f"pair enumeration needs bound >= 3, got {bound}")
     if r_hi is None:
@@ -161,24 +166,21 @@ def find_pairs(bound: int, r_lo: int = 3, r_hi: Optional[int] = None
     spf = spf_sieve(max(r_hi, 3))
     for r in range(max(r_lo, 3), r_hi):  # r < 3 gives no pair
         n = r * r - 1
+        a_lo = max(2, -(-n // bound))
         # gcd(r-1, r+1) divides 2, so only 2 can occur in both lists; for
         # odd r it leads both, and r+1's entry is added to r-1's
         factors, upper = factorize(r - 1, spf), factorize(r + 1, spf)
         if r % 2:
             factors[0] = (2, factors[0][1] + upper.pop(0)[1])
-        small = [d for d in divisors(factors + upper) if d * d < n]
-        small.sort()
-        for a in small:
-            if a < 2:
-                continue
-            b = n // a
-            if b <= bound:
-                yield a, b, r
+        for a in sorted(d for d in divisors(factors + upper)
+                        if a_lo <= d < r):
+            yield a, n // a, r
 
 
-def pell_orbit(a: int, b: int, r: int, s_max: int) -> Tuple[int, List[int]]:
-    """Seeds tested, and the s of every orbit iterate with r < s <= s_max,
-    for the pair (a, b, r) with ab+1 = r^2.
+def pell_orbit(a: int, b: int, r: int, s_max: int
+               ) -> Tuple[int, List[Tuple[int, int]]]:
+    """Seeds tested, and the (s, t) of every orbit iterate with
+    r < s <= s_max, for the pair (a, b, r) with ab+1 = r^2.
 
     Every c with ac+1 = s^2 and bc+1 = t^2 solves a*t^2 - b*s^2 = a - b, and
     c > b, c <= bound mean r < s <= s_max = isqrt(a*bound+1).  Multiplied by
@@ -198,8 +200,11 @@ def pell_orbit(a: int, b: int, r: int, s_max: int) -> Tuple[int, List[int]]:
     terms, so s strictly increases, and the first iterate with t > 0 and
     s > s_max ends the orbit: every later one is larger still.
 
-    Every returned s has bc+1 square by construction; the caller still tests
-    it, and abc+1.
+    Every returned (s, t) has t > 0 (it lies past the first step) and, with
+    c = (s^2-1)/a, bc+1 = t^2: a*t^2 - b*s^2 = a - b holds on the orbit, and
+    s^2 == 1 (mod a) holds for s0 and is kept by the step
+    (a*t + r*s == r*s and r^2 == 1 (mod a)), so bc+1 = (b*s^2 - b + a)/a.
+    The caller still checks t*t == bc+1, and tests abc+1.
     """
     seed_max = isqrt(a * (b - a) // (2 * (r - 1)))
     seeds = 0
@@ -218,7 +223,7 @@ def pell_orbit(a: int, b: int, r: int, s_max: int) -> Tuple[int, List[int]]:
                 if t > 0 and s > s_max:
                     break
                 if r < s <= s_max:
-                    found.append(s)
+                    found.append((s, t))
     return seeds, found
 
 
@@ -241,10 +246,9 @@ def _census_chunk_py(bound: int, r_lo: int, r_hi: int
             continue
         seeds, orbit = pell_orbit(a, b, r, s_max)
         candidates += seeds + len(orbit)
-        for s in orbit:
+        for s, t in orbit:
             c = (s * s - 1) // a
-            t = perfect_square_root(b * c + 1)
-            if t is not None:
+            if t > 0 and t * t == b * c + 1:
                 u = perfect_square_root(a * b * c + 1)
                 if u is not None:
                     found.append((a, b, c, r, s, t, u))

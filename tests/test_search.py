@@ -52,15 +52,24 @@ def test_find_pairs_excludes_unit_and_respects_bound():
     assert all(a * b + 1 == r * r for a, b, r in pairs)
 
 
-@pytest.mark.parametrize("bound", [10, 50, 100])
-def test_find_pairs_matches_double_loop_oracle(bound):
+@pytest.fixture(scope="module")
+def pairs_to_300():
     want = set()
-    for a in range(2, bound + 1):
-        for b in range(a + 1, bound + 1):
+    for a in range(2, 301):
+        for b in range(a + 1, 301):
             r = math.isqrt(a * b + 1)
             if r * r == a * b + 1:
                 want.add((a, b, r))
-    assert set(find_pairs(bound)) == want
+    return want
+
+
+@pytest.mark.parametrize("bound", range(3, 301))
+def test_find_pairs_matches_double_loop_oracle(bound, pairs_to_300):
+    # every bound, so the window edges a = a_lo and b = bound both occur
+    want = {(a, b, r) for a, b, r in pairs_to_300 if b <= bound}
+    got = list(find_pairs(bound))
+    assert set(got) == want
+    assert got == sorted(got, key=lambda p: (p[2], p[0]))
 
 
 def test_pell_orbit_finds_every_c_of_a_pair():
@@ -73,10 +82,13 @@ def test_pell_orbit_finds_every_c_of_a_pair():
     for a, b, r in pairs:
         s_max = math.isqrt(a * bound + 1)
         _, orbit = pell_orbit(a, b, r, s_max)
-        assert all(r < s <= s_max and (s * s - 1) % a == 0 for s in orbit)
+        # each iterate's t is the positive root of bc+1
+        assert all(r < s <= s_max and (s * s - 1) % a == 0 and t > 0
+                   and t * t == b * ((s * s - 1) // a) + 1
+                   for s, t in orbit)
         want = {c for c in range(b + 1, bound + 1)
                 if a * c + 1 in squares and b * c + 1 in squares}
-        assert {(s * s - 1) // a for s in orbit} == want, (a, b, r)
+        assert {(s * s - 1) // a for s, _ in orbit} == want, (a, b, r)
 
 
 def test_pell_orbit_seeds_step_to_positive_increasing_iterates():
@@ -178,9 +190,10 @@ def _sorted_chunk(chunk):
     return sorted(found), pairs, candidates
 
 
-@pytest.mark.parametrize("bound", [3, 24, 200, 2000, 10_000])
+@pytest.mark.parametrize("bound", [*range(3, 401), 2000, 10_000])
 def test_kernel_chunk_equals_pure_chunk(bound, kernel):
-    # the same raw triples, in any order, and the same counters
+    # the same raw triples, in any order, and the same counters; every
+    # bound to 400, so pairs with a = a_lo and with s_max = r + 1 occur
     assert (_sorted_chunk(kernel.census_chunk(bound, 3, _r_max(bound)))
             == _sorted_chunk(_census_chunk_py(bound, 3, _r_max(bound))))
 
