@@ -3,10 +3,11 @@
 Two parametrized families indexed by n (through the conic point
 (x, y) = (P(n+1), P(n))):
 
-* the main family, whose a, r, b, c, s come from the polynomial tables in
-  `forms` and for which abc+1 = s^2 holds identically, and
-* the companion family r = A(n)^2 R(n-1) - A(n-1) - 2, from the
-  `forms.COMP_*` tables; both go through one checked constructor.
+* the main family, for which abc+1 = s^2 holds identically, and
+* the companion family r = A(n)^2 R(n-1) - A(n-1) - 2;
+
+each is a row of a, r, b, c, s tables in `forms.FAMILIES`, evaluated by one
+constructor that checks `forms.triple_conditions` on the integers.
 
 Plus the two elementary constructions: completing a pair (a, b) with
 ab+1 = r^2 to c = a + b + 2r, and the degenerate a=1 family b = k^2-1,
@@ -98,19 +99,19 @@ def _admissible(a: int, b: int, c: int) -> bool:
     return a > 1 and b > 1 and c > 1 and a != b and a != c and b != c
 
 
-def _construct(n: int, variant: str, *evaluators) -> TripleCandidate:
-    """a, r, b, c, s from the five evaluators at conic_point(n), every
-    invariant checked with `if` (not `assert`, so also under python -O)."""
+def _construct(n: int, variant: str) -> TripleCandidate:
+    """a, r, b, c, s from the `forms.FAMILIES` row of `variant` at
+    conic_point(n), every invariant checked with `if` (not `assert`, so also
+    under python -O)."""
     pt = conic_point(n)
-    a, r, b, c, s = (f(pt) for f in evaluators)
+    a, r, b, c, s = (_eval_int(table, pt, f"{variant} {what}")
+                     for table, what in zip(forms.FAMILIES[variant], "arbcs"))
     s = abs(s)  # the quintic s forms go negative on the negative branch
-    checks = (a * b + 1 == r * r, c == a + b + 2 * r,
-              a * c + 1 == (a + r) ** 2, b * c + 1 == (b + r) ** 2,
-              a * b * c + 1 == s * s)
-    if not all(checks):
-        raise ConstructionError(
-            f"{variant} index {n}: invariant {checks.index(False) + 1} of "
-            f"ab+1=r^2, c=a+b+2r, ac+1=(a+r)^2, bc+1=(b+r)^2, abc+1=s^2 fails")
+    for k, diff in enumerate(forms.triple_conditions(a, r, b, c, s), 1):
+        if diff:
+            raise ConstructionError(
+                f"{variant} index {n}: invariant {k} of ab+1=r^2, c=a+b+2r, "
+                f"ac+1=(a+r)^2, bc+1=(b+r)^2, abc+1=s^2 fails")
     return TripleCandidate(n=n, variant=variant, x=pt.x, y=pt.y,
                            a=a, r=r, b=b, c=c, s=s,
                            admissible=_admissible(a, b, c))
@@ -118,23 +119,13 @@ def _construct(n: int, variant: str, *evaluators) -> TripleCandidate:
 
 def make_main(n: int) -> TripleCandidate:
     """Evaluate the proved family at index n, with every invariant checked."""
-    return _construct(n, "main", poly_a, poly_r, poly_b, poly_c, poly_s)
-
-
-def _companion(table: dict, what: str):
-    return lambda pt: _eval_int(table, pt, f"companion {what}")
-
-
-# a is shared with the main family: both are A(n)^2 + 4.
-_COMPANION = (poly_a, _companion(forms.COMP_R, "r"),
-              _companion(forms.COMP_B, "b"), _companion(forms.COMP_C, "c"),
-              _companion(forms.COMP_S, "s"))
+    return _construct(n, "main")
 
 
 def make_companion(n: int) -> TripleCandidate:
     """Evaluate the companion family at index n from its `forms` tables,
     with the same invariants checked as for the main family."""
-    return _construct(n, "companion", *_COMPANION)
+    return _construct(n, "companion")
 
 
 def recurrence_r(n: int) -> int:

@@ -4,6 +4,8 @@ Every table maps (x_degree, y_degree) -> exact rational coefficient.  These
 are the single source of truth for both families and the sequences A, R:
 `family` and `sequences` evaluate them at conic points and `symbolic` checks
 the identities between them, so a transcription slip fails both routes.
+`FAMILIES` lists each family's row of tables and `triple_conditions` the five
+conditions every member meets.
 
 The parameter point (x, y) runs over integer solutions of x^2 - 4xy + y^2 = 1.
 """
@@ -83,6 +85,21 @@ COMP_S = {
     (0, 5): F(113, 2), (1, 4): F(207), (0, 3): F(109), (1, 2): F(44),
     (0, 1): F(31, 2), (1, 0): F(1),
 }
+
+# Each family as its a, r, b, c, s tables, in that order; both share a.
+FAMILIES = {"main": (ELEM_A, ROOT_R, ELEM_B, ELEM_C, ROOT_S),
+            "companion": (ELEM_A, COMP_R, COMP_B, COMP_C, COMP_S)}
+
+
+def triple_conditions(a, r, b, c, s) -> tuple:
+    """ab+1-r^2, c-a-b-2r, ac+1-(a+r)^2, bc+1-(b+r)^2 and abc+1-s^2: all
+    zero exactly when (a, b, c) is a regular triple with roots r and s.
+
+    Works on ints (the constructor's checks) and on `symbolic.BiPoly` (the
+    prover's identities)."""
+    return (a * b + 1 - r * r, c - a - b - 2 * r,
+            a * c + 1 - (a + r) * (a + r), b * c + 1 - (b + r) * (b + r),
+            a * b * c + 1 - s * s)
 
 
 def evaluate(table: dict, x: int, y: int) -> F:

@@ -161,8 +161,8 @@ def find_pairs(bound: int, r_lo: int = 3, r_hi: Optional[int] = None
     """
     if bound < 3:
         raise DomainError(f"pair enumeration needs bound >= 3, got {bound}")
-    if r_hi is None:
-        r_hi = _r_max(bound)
+    r_max = _r_max(bound)  # no r >= r_max has a pair, so sieve no further
+    r_hi = r_max if r_hi is None else min(r_hi, r_max)
     spf = spf_sieve(max(r_hi, 3))
     for r in range(max(r_lo, 3), r_hi):  # r < 3 gives no pair
         n = r * r - 1

@@ -58,7 +58,9 @@ class BiPoly:
             return self.terms == other.terms
         return NotImplemented
 
-    def __add__(self, other: "BiPoly") -> "BiPoly":
+    def __add__(self, other) -> "BiPoly":
+        if not isinstance(other, BiPoly):
+            other = BiPoly.const(other)
         out = dict(self.terms)
         for mono, coef in other.terms.items():
             v = out.get(mono, Fraction(0)) + coef
@@ -71,7 +73,7 @@ class BiPoly:
     def __neg__(self) -> "BiPoly":
         return BiPoly({m: -c for m, c in self.terms.items()})
 
-    def __sub__(self, other: "BiPoly") -> "BiPoly":
+    def __sub__(self, other) -> "BiPoly":
         return self + (-other)
 
     def __mul__(self, other) -> "BiPoly":
@@ -216,13 +218,14 @@ _CORE_ITEMS = frozenset(f"I{k}" for k in range(1, 9))
 
 
 def _build_polys(table_overrides: Optional[dict] = None) -> dict:
-    """The transcribed forms as BiPolys; overrides support mutation testing."""
+    """The transcribed forms as BiPolys, a..s from the main family's row;
+    overrides support mutation testing."""
     src = {
-        "a": forms.ELEM_A, "r": forms.ROOT_R, "b": forms.ELEM_B,
-        "c": forms.ELEM_C, "s": forms.ROOT_S, "conic": forms.CONIC_FORM,
-        "A": forms.A_FORM, "A_next": forms.A_NEXT_FORM,
-        "A_prev": forms.A_PREV_FORM, "R2": forms.R2_FORM,
-        "R2_prev": forms.R2_PREV_FORM, "comp_r": forms.COMP_R,
+        **dict(zip("arbcs", forms.FAMILIES["main"])),
+        "conic": forms.CONIC_FORM, "A": forms.A_FORM,
+        "A_next": forms.A_NEXT_FORM, "A_prev": forms.A_PREV_FORM,
+        "R2": forms.R2_FORM, "R2_prev": forms.R2_PREV_FORM,
+        "comp_r": forms.COMP_R,
         "abc_f0": forms.ABC_FACTORS[0], "abc_f1": forms.ABC_FACTORS[1],
         "abc_f2": forms.ABC_FACTORS[2], "abc_f3": forms.ABC_FACTORS[3],
     }
@@ -236,30 +239,30 @@ def prove_identities(table_overrides: Optional[dict] = None) -> IdentityReport:
 
     I1-I8 must reduce to zero in the quotient ring; together they prove that
     every conic point yields a, b, c with ab+1, ac+1, bc+1 and abc+1 all
-    perfect squares.  I9 probes whether the homogenized abc+1 = s^2 identity
-    already holds before reduction; I10 is a numeric consistency check of the
-    companion root table `forms.COMP_R` against its linear-form expression.
+    perfect squares.  I1-I4 and I7 are `forms.triple_conditions` of the
+    main row of `forms.FAMILIES`.  I9 probes whether the homogenized
+    abc+1 = s^2 identity already holds before reduction; I10 is a numeric
+    consistency check of the companion root table `forms.COMP_R` against its
+    linear-form expression.
 
     `table_overrides` replaces named coefficient tables (see `_build_polys`),
     used to demonstrate that single-coefficient perturbations are caught.
     """
     P = _build_polys(table_overrides)
-    one = BiPoly.const(1)
-    a, r, b, c, s = P["a"], P["r"], P["b"], P["c"], P["s"]
+    a, r, b, c, s = (P[k] for k in "arbcs")
+    ab1, c_sum, ac1, bc1, abc1 = forms.triple_conditions(a, r, b, c, s)
     abc_quarter = P["abc_f0"] * P["abc_f1"] * P["abc_f2"] * P["abc_f3"]
-    abc_factored = Fraction(1, 4) * abc_quarter
+    abc_factored = forms.ABC_SCALE * abc_quarter
 
     checks = [
-        ("I1", "a*b + 1 = r^2", a * b + one - r * r),
-        ("I2", "a*c + 1 = (a+r)^2", a * c + one - (a + r) * (a + r)),
-        ("I3", "b*c + 1 = (b+r)^2", b * c + one - (b + r) * (b + r)),
-        ("I4", "c = a + b + 2r", c - a - b - BiPoly.const(2) * r),
-        ("I5", "a = A^2 + 4", a - P["A"] * P["A"] - BiPoly.const(4)),
+        ("I1", "a*b + 1 = r^2", ab1),
+        ("I2", "a*c + 1 = (a+r)^2", ac1),
+        ("I3", "b*c + 1 = (b+r)^2", bc1),
+        ("I4", "c = a + b + 2r", c_sum),
+        ("I5", "a = A^2 + 4", a - P["A"] * P["A"] - 4),
         ("I6", "2r = A^2*(2R) + 2*A_next - 4",
-         BiPoly.const(2) * r - (P["A"] * P["A"] * P["R2"]
-                                + BiPoly.const(2) * P["A_next"]
-                                - BiPoly.const(4))),
-        ("I7", "a*b*c + 1 = s^2", a * b * c + one - s * s),
+         2 * r - (P["A"] * P["A"] * P["R2"] + 2 * P["A_next"] - 4)),
+        ("I7", "a*b*c + 1 = s^2", abc1),
         ("I8", "a*b*c = (1/4)(3y+8x)*a*cubic*quartic", a * b * c - abc_factored),
     ]
 
@@ -284,8 +287,7 @@ def prove_identities(table_overrides: Optional[dict] = None) -> IdentityReport:
             note="holds only after reduction" if nf.is_zero() else ""))
 
     # I10: companion root, numeric agreement only (no ring claim is made).
-    comp_expr = (P["A"] * P["A"] * P["R2_prev"]
-                 - BiPoly.const(2) * P["A_prev"] - BiPoly.const(4))
+    comp_expr = P["A"] * P["A"] * P["R2_prev"] - 2 * P["A_prev"] - 4
     mismatches = []
     for n in range(0, 7):
         pt = conic_point(n)

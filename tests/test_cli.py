@@ -242,8 +242,13 @@ def test_prove_json(capsys):
 
 
 # sha256 of stdout for family and sequence commands, recorded from the
-# recurrence-built companion and sequences that the forms tables replaced.
+# recurrence-built companion and sequences that the forms tables replaced,
+# and for prove, recorded before its identities read forms.triple_conditions.
 GOLDEN_STDOUT = [
+    ("prove",
+     "803651fde4a52c280eba8a931f2801d5f95b509cf34f5c762353e0ccff62b987"),
+    ("prove --format json",
+     "1ccbc4e492ef5ea257bb0111c2ac2011b6da1f519cc43c2ddbc70a14a32b2a72"),
     ("gen -60 60 both --format json",
      "1aefa92a2caff7595a2d90a46869d2075fbc219c29b9e30155b87da995be2305"),
     ("gen -60 60 both --format csv",
@@ -411,3 +416,17 @@ def test_module_entry_point_subprocess(argv, code):
     proc = subprocess.run([sys.executable, "-m", "foursq"] + argv,
                           capture_output=True, text=True, env=env)
     assert proc.returncode == code
+
+
+@pytest.mark.parametrize("argv", [
+    "gen -5 5 both --format json", "prove --format json"])
+def test_stdout_is_the_same_under_python_O(argv):
+    # the constructor's invariant checks are `if`s, not `assert`s, so -O
+    # must leave stdout alone
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    runs = [subprocess.run([sys.executable, *flags, "-m", "foursq",
+                            *argv.split()],
+                           capture_output=True, text=True, env=env)
+            for flags in ([], ["-O"])]
+    assert [proc.returncode for proc in runs] == [0, 0]
+    assert runs[1].stdout == runs[0].stdout

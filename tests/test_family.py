@@ -198,32 +198,38 @@ def test_degenerate_family_window():
 
 OPTIMIZED_INVARIANTS = """
 import sys
-from foursq import family
+from foursq import family, forms
 from foursq.family import ConstructionError
 
 if not sys.flags.optimize:
     sys.exit("not running under -O")
+
+
+def broken_c(variant):
+    a, r, b, c, s = forms.FAMILIES[variant]
+    return {**forms.FAMILIES, variant: (a, r, b, {(0, 0): 7}, s)}
+
+
 caught = []
 square_root = family.perfect_square_root
-companion_broken_c = (*family._COMPANION[:3], lambda pt: 7,
-                      *family._COMPANION[4:])
 cases = [
-    ("make_main", "poly_c", lambda pt: 7, lambda: family.make_main(1)),
-    ("make_companion", "_COMPANION", companion_broken_c,
+    ("make_main", forms, "FAMILIES", broken_c("main"),
+     lambda: family.make_main(1)),
+    ("make_companion", forms, "FAMILIES", broken_c("companion"),
      lambda: family.make_companion(1)),
-    ("regular_complete", "perfect_square_root", lambda v: square_root(v) + 1,
-     lambda: family.regular_complete(5, 7)),
-    ("degenerate_family", "perfect_square_root", lambda v: None,
+    ("regular_complete", family, "perfect_square_root",
+     lambda v: square_root(v) + 1, lambda: family.regular_complete(5, 7)),
+    ("degenerate_family", family, "perfect_square_root", lambda v: None,
      lambda: family.degenerate_family(3)),
 ]
-for name, attr, broken, call in cases:
-    original = getattr(family, attr)
-    setattr(family, attr, broken)
+for name, module, attr, broken, call in cases:
+    original = getattr(module, attr)
+    setattr(module, attr, broken)
     try:
         call()
     except ConstructionError:
         caught.append(name)
-    setattr(family, attr, original)
+    setattr(module, attr, original)
 print(" ".join(caught))
 """
 

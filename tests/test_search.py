@@ -46,6 +46,27 @@ def test_find_pairs_bound_10():
         (6, 8, 7), (7, 9, 8), (8, 10, 9)]
 
 
+@pytest.mark.parametrize("bound,r_lo,r_hi", [
+    (10, 3, 10**8), (1000, 3, 2_000_000), (1000, 5000, 10**9)])
+def test_pure_census_clamps_r_range_to_r_max(monkeypatch, bound, r_lo, r_hi):
+    # no pair has r >= r_max, so an r_hi past it must not size the sieve;
+    # the check runs before the build, so a huge sieve fails fast
+    r_max = search._r_max(bound)
+    want = list(find_pairs(bound)) if r_lo == 3 else []
+    want_chunk = _census_chunk_py(bound, 3, r_max)
+    limits = []
+
+    def sieve(limit):
+        limits.append(limit)
+        assert limit <= r_max, f"a sieve to {limit} was asked for"
+        return spf_sieve(limit)
+    monkeypatch.setattr(search, "spf_sieve", sieve)
+    assert list(find_pairs(bound, r_lo, r_hi)) == want
+    if r_lo == 3:
+        assert _census_chunk_py(bound, r_lo, r_hi) == want_chunk
+    assert limits
+
+
 def test_find_pairs_excludes_unit_and_respects_bound():
     pairs = list(find_pairs(50))
     assert all(2 <= a < b <= 50 for a, b, _ in pairs)

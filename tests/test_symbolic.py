@@ -32,6 +32,12 @@ def test_zero_polynomial_is_canonical():
     assert X * BiPoly() == BiPoly()
 
 
+def test_int_operands_are_constants():
+    # forms.triple_conditions adds and subtracts ints on BiPolys
+    assert X + 1 == X + ONE
+    assert X - 2 == X - BiPoly.const(2)
+
+
 def test_scale_and_rational_coefficients():
     half = X.scale(Fraction(1, 2))
     assert half + half == X
@@ -197,24 +203,16 @@ def test_mutation_off_by_one_in_r_cubic_fails_I1():
 
 
 def _companion_residues(overrides=None):
-    """Normal forms of the six companion identities; all zero when the
-    COMP_* tables are right."""
-    t = {"r": forms.COMP_R, "b": forms.COMP_B, "c": forms.COMP_C,
-         "s": forms.COMP_S, **(overrides or {})}
-    a = BiPoly.from_table(forms.ELEM_A)
-    r, b, c, s = (BiPoly.from_table(t[k]) for k in "rbcs")
+    """Normal forms of the five triple conditions on the companion row of
+    `forms.FAMILIES` and of its r-recurrence; all zero when the COMP_*
+    tables are right."""
+    t = dict(zip("arbcs", forms.FAMILIES["companion"]), **(overrides or {}))
+    a, r, b, c, s = (BiPoly.from_table(t[k]) for k in "arbcs")
     A = BiPoly.from_table(forms.A_FORM)
-    two = BiPoly.const(2)
-    return [reduce(diff) for diff in (
-        a * b + ONE - r * r,
-        c - a - b - two * r,
-        a * c + ONE - (a + r) * (a + r),
-        b * c + ONE - (b + r) * (b + r),
-        a * b * c + ONE - s * s,
-        two * r - (A * A * BiPoly.from_table(forms.R2_PREV_FORM)
-                   - two * BiPoly.from_table(forms.A_PREV_FORM)
-                   - BiPoly.const(4)),
-    )]
+    recurrence = 2 * r - (A * A * BiPoly.from_table(forms.R2_PREV_FORM)
+                          - 2 * BiPoly.from_table(forms.A_PREV_FORM) - 4)
+    return [reduce(diff)
+            for diff in (*forms.triple_conditions(a, r, b, c, s), recurrence)]
 
 
 def test_companion_identities_reduce_to_zero():
