@@ -33,7 +33,9 @@ except ImportError:  # extension not built; pure Python carries the load
 
 ORACLE_MAX_BOUND = 2000
 # The pure census sieves r up to about the bound, at about 40 bytes a list
-# entry: 400 MB at this cap.
+# entry: 400 MB at this cap.  That is per process: with jobs > 1 each pool
+# process builds its own sieve up to its chunk's r_hi, so a run near the cap
+# can hold up to `jobs` such sieves at once.
 PURE_MAX_BOUND = 10**7
 
 Triple = Tuple[int, int, int, Certificate]

@@ -1,8 +1,11 @@
 """The sequences P, A, R, two-sided, as values at points of the conic.
 
-The one recurrence is the conic step (x, y) -> (4x - y, x) from (1, 0), run
-backwards for negative indices; the point of index n is (P(n+1), P(n)), and
-A(n) = x + 2y and R(n) = (5x - 3y - 1)/2 are linear forms from `forms`.
+The point of index n is (x, y) = (P(n+1), P(n)).  It is read off the power
+(2+sqrt(3))^n = u + v*sqrt(3): P(n) = v, and (2+sqrt(3))^(n+1) =
+(2u + 3v) + (u + 2v)*sqrt(3) gives P(n+1) = u + 2v.  A(n) = x + 2y and
+R(n) = (5x - 3y - 1)/2 are linear forms from `forms`.  A range of indices
+starts at the point of its first index and moves forward by the conic step
+(x, y) -> (4x - y, x).
 Values are kept signed; A(-1) = -2, A(-2) = -9, ... even though tables of
 the negative branch are often quoted unsigned.
 """
@@ -33,19 +36,10 @@ class PellNumber:
     v: int
 
 
-def _step(x: int, y: int, n: int) -> tuple:
-    """(x, y) moved n steps along the conic: (x, y) -> (4x - y, x) forward,
-    its inverse (x, y) -> (y, 4y - x) for negative n."""
-    for _ in range(n):
-        x, y = 4 * x - y, x
-    for _ in range(-n):
-        x, y = y, 4 * y - x
-    return x, y
-
-
 def conic_point(n: int) -> ConicPoint:
-    """The point (P(n+1), P(n)), |n| conic steps from (1, 0)."""
-    return ConicPoint(*_step(1, 0, n))
+    """The point (P(n+1), P(n)): (u + 2v, v) for (2+sqrt(3))^n = u + v*sqrt(3)."""
+    w = binet_exact(n)
+    return ConicPoint(w.u + 2 * w.v, w.v)
 
 
 # Each sequence as a linear form in the conic point of the same index.
@@ -53,8 +47,8 @@ _TABLES = {"P": {(0, 1): 1}, "A": forms.A_FORM,
            "R": {mono: coef / 2 for mono, coef in forms.R2_FORM.items()}}
 
 
-def _value(name: str, x: int, y: int) -> int:
-    return int(forms.evaluate(_TABLES[name], x, y))
+def _value(name: str, pt: ConicPoint) -> int:
+    return int(forms.evaluate(_TABLES[name], pt.x, pt.y))
 
 
 def pell_P(n: int) -> int:
@@ -64,33 +58,35 @@ def pell_P(n: int) -> int:
 
 def seq_A(n: int) -> int:
     """A(0)=1, A(1)=6, A(n+1) = 4A(n) - A(n-1)."""
-    return _value("A", *_step(1, 0, n))
+    return _value("A", conic_point(n))
 
 
 def seq_R(n: int) -> int:
     """R(0)=2, R(1)=8, R(n) = 4R(n-1) - R(n-2) + 1."""
-    return _value("R", *_step(1, 0, n))
+    return _value("R", conic_point(n))
 
 
 def sequence_values(name: str, lo: int, hi: int) -> list:
-    """Values of sequence `name` over lo..hi inclusive, in one conic sweep."""
+    """Values of sequence `name` over lo..hi inclusive: the point of lo, then
+    one forward conic step per index."""
     if name not in _TABLES:
         raise ValueError(f"unknown sequence {name!r}; expected one of P, A, R")
     if lo > hi:
         raise ValueError(f"empty index range {lo}..{hi}")
-    x, y = _step(1, 0, lo)
+    table, pt = _TABLES[name], conic_point(lo)
+    x, y = pt.x, pt.y
     out = []
     for _ in range(lo, hi + 1):
-        out.append(_value(name, x, y))
-        x, y = _step(x, y, 1)
+        out.append(int(forms.evaluate(table, x, y)))
+        x, y = 4 * x - y, x
     return out
 
 
 def binet_exact(n: int) -> PellNumber:
     """(2+sqrt(3))^n as u + v*sqrt(3), by binary exponentiation over Z[sqrt(3)].
 
-    Negative n uses the inverse 2-sqrt(3).  The v component reproduces
-    pell_P(n), which gives an evaluation route independent of the conic step.
+    Negative n uses the inverse 2-sqrt(3).  The v component is P(n); this is
+    the one route from an index to its conic point (`conic_point`).
     """
     if n < 0:
         base_u, base_v = 2, -1

@@ -19,6 +19,7 @@ from foursq import (binet_exact, brute_oracle, conic_point, isqrt,
                     seq_A, seq_R, verify_four)
 from foursq import forms
 from foursq.cli import main as cli_main
+from foursq.sequences import sequence_values
 
 SECTION1 = [
     (5, 7, 24), (8, 45, 91), (8, 105, 171), (3, 133, 176), (11, 105, 184),
@@ -95,13 +96,16 @@ def test_criterion_4_census_750():
 
 
 def test_criterion_5_property_suites(census_100k):
-    # sequence recurrences and the closed-form cross-check
+    # sequence recurrences and the closed-form cross-check: binet_exact
+    # against the forward sweep, which P(0) = 0, P(1) = 1 pins
+    sweep = sequence_values("P", -50, 50)
+    assert sweep[50:52] == [0, 1]
     for n in range(-50, 51):
         assert pell_P(n + 1) == 4 * pell_P(n) - pell_P(n - 1)
         assert seq_A(n + 1) == 4 * seq_A(n) - seq_A(n - 1)
         assert seq_R(n + 1) == 4 * seq_R(n) - seq_R(n - 1) + 1
         w = binet_exact(n)
-        assert w.v == pell_P(n) and w.u ** 2 - 3 * w.v ** 2 == 1
+        assert w.v == sweep[n + 50] and w.u ** 2 - 3 * w.v ** 2 == 1
         pt = conic_point(n)
         x, y = pt.x, pt.y
         assert x * x - 4 * x * y + y * y == 1

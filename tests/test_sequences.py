@@ -55,9 +55,14 @@ def test_binet_exact_base_cases(n, u, v):
 
 
 def test_binet_matches_recurrence_and_norm():
-    for n in range(-50, 51):
+    # The forward sweep passes P(0) = 0, P(1) = 1, which fixes its start, so
+    # it reaches every index by recurrence steps alone; binet_exact (and
+    # with it every conic_point) powers 2+sqrt(3) instead.
+    sweep = sequence_values("P", -50, 50)
+    assert sweep[50:52] == [0, 1]
+    for n, p in zip(range(-50, 51), sweep):
         w = binet_exact(n)
-        assert w.v == pell_P(n)
+        assert w.v == p
         assert w.u * w.u - 3 * w.v * w.v == 1
 
 
@@ -100,9 +105,12 @@ def test_sequence_values_windows():
 
 
 def test_sequence_values_matches_point_evaluation():
-    lo, hi = -12, 12
-    for name, fn in (("P", pell_P), ("A", seq_A), ("R", seq_R)):
-        assert sequence_values(name, lo, hi) == [fn(n) for n in range(lo, hi + 1)]
+    # far from 0 the sweep's steps and each index's own power must meet
+    for lo in (-12, 7517, -7517, 10**4, -10**4):
+        hi = lo + 24
+        for name, fn in (("P", pell_P), ("A", seq_A), ("R", seq_R)):
+            assert sequence_values(name, lo, hi) == [
+                fn(n) for n in range(lo, hi + 1)]
 
 
 def test_sequence_values_rejects_bad_input():
@@ -115,4 +123,8 @@ def test_sequence_values_rejects_bad_input():
 @given(st.integers(min_value=-300, max_value=300))
 @settings(max_examples=200, deadline=None)
 def test_binet_agrees_with_recurrence_everywhere(n):
-    assert binet_exact(n).v == pell_P(n)
+    # a sweep from min(n, 0) that passes P(0) = 0, P(1) = 1 steps to P(n)
+    lo = min(n, 0)
+    sweep = sequence_values("P", lo, max(n, 1))
+    assert sweep[-lo:2 - lo] == [0, 1]
+    assert binet_exact(n).v == sweep[n - lo]
