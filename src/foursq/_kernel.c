@@ -46,10 +46,10 @@
  *
  * Threads: census_chunk releases the GIL for the sieve and the whole scan,
  * and takes it back only to append a found triple (rare) and for the
- * signal check every 4096 r.  The kernel is reentrant: each call owns its
- * sieve, divisor buffer and result list, and the residue masks are written
- * once in PyInit__kernel and only read after that.  So census_chunk calls
- * on several threads run in parallel (search.search_triples with jobs > 1).
+ * signal check every 4096 r.  The kernel is reentrant: it has no
+ * module-level state, and each call owns its sieve, divisor buffer and
+ * result list.  So census_chunk calls on several threads run in parallel
+ * (search.search_triples with jobs > 1).
  *
  * Build: python setup.py build_ext --inplace
  */
@@ -87,24 +87,6 @@ enum { OK = 0, OVERFLOW_FACTORS, OVERFLOW_DIVISORS, OUT_OF_MEMORY };
 
 static const char *overflow_names[] = {NULL, "MAX_FACTORS", "MAX_DIVISORS"};
 
-/* Quadratic residues mod 64, 63, 65 and 11, as in certify._QR_MODULI. */
-static u64 qr64;
-static unsigned char qr63[63], qr65[65], qr11[11];
-
-static void
-init_masks(void)
-{
-    int t;
-    for (t = 0; t < 64; t++)
-        qr64 |= (u64)1 << ((t * t) & 63);
-    for (t = 0; t < 63; t++)
-        qr63[(t * t) % 63] = 1;
-    for (t = 0; t < 65; t++)
-        qr65[(t * t) % 65] = 1;
-    for (t = 0; t < 11; t++)
-        qr11[(t * t) % 11] = 1;
-}
-
 /* Floor square root of v < 2^63: the double estimate is off by at most a
    few units at this size, so it is corrected in both directions.  The
    conversions go through int64_t, which both ways are single instructions
@@ -120,15 +102,11 @@ isqrt64(u64 v)
     return x;
 }
 
-/* Mask-filtered exact square test; writes the root on success. */
+/* Exact square test of v < 2^63; writes the root on success. */
 static int
 square_root(u64 v, u64 *root)
 {
-    u64 x;
-    if (!((qr64 >> (v & 63)) & 1) || !qr63[v % 63] || !qr65[v % 65]
-            || !qr11[v % 11])
-        return 0;
-    x = isqrt64(v);
+    u64 x = isqrt64(v);
     if (x * x != v)
         return 0;
     *root = x;
@@ -235,10 +213,10 @@ follow_orbit(u64 a, u64 b, u64 r, u64 s_max, int64_t t, int64_t s,
 /* Test the seeds s0 <= S of the pair (a, b, r), those with
    s0^2 == 1 (mod a), and follow the orbits of the ones with
    b*c0 + 1 = t0^2, c0 = (s0^2-1)/a.  The seed search is search.pell_orbit's:
-   scan c0 = 0..C, C = (S^2-1)/a, for a square a*c0 + 1 = s0^2, C+1 tests,
-   most rejected by the residue masks, where s0 = 1..S would take S.  c0 and
-   s0 rise together, so the seeds come in ascending order.  The seed c0 = 0
-   (s0 = t0 = 1) needs no square test.
+   scan c0 = 0..C, C = (S^2-1)/a, for a square a*c0 + 1 = s0^2, C+1 tests
+   where s0 = 1..S would take S.  c0 and s0 rise together, so the seeds
+   come in ascending order.  The seed c0 = 0 (s0 = t0 = 1) needs no square
+   test.
    Returns 0, or -1 with a Python exception set. */
 static int
 pell_orbit(u64 a, u64 b, u64 r, u64 s_max, PyObject *found, u64 *candidates)
@@ -413,6 +391,5 @@ PyInit__kernel(void)
         Py_DECREF(module);
         return NULL;
     }
-    init_masks();
     return module;
 }

@@ -9,22 +9,6 @@ class DomainError(ValueError):
     """Raised when an argument lies outside an operation's domain."""
 
 
-# Bit v of a mask is set iff v is a quadratic residue mod the modulus.
-# Testing mod 64, 63, 65, 11 rejects about 99% of non-squares before any
-# root extraction is attempted.
-_QR_MODULI = (64, 63, 65, 11)
-
-
-def _qr_mask(m: int) -> int:
-    mask = 0
-    for t in range(m):
-        mask |= 1 << (t * t % m)
-    return mask
-
-
-_QR_MASKS = tuple((m, _qr_mask(m)) for m in _QR_MODULI)
-
-
 def isqrt(v: int) -> int:
     """Floor square root of a nonnegative integer, exact at any size
     (`math.isqrt`, with `DomainError` on negative input)."""
@@ -33,19 +17,9 @@ def isqrt(v: int) -> int:
     return math.isqrt(v)
 
 
-def passes_qr_masks(v: int) -> bool:
-    """Cheap residue pre-filter: False means v is certainly not a square."""
-    for m, mask in _QR_MASKS:
-        if not (mask >> (v % m)) & 1:
-            return False
-    return True
-
-
 def perfect_square_root(v: int) -> Optional[int]:
     """Return the nonnegative root if v is a perfect square, else None."""
     if v < 0:
-        return None
-    if not passes_qr_masks(v):
         return None
     r = isqrt(v)
     return r if r * r == v else None

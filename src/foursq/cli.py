@@ -28,8 +28,10 @@ def _opt_str(v) -> Optional[str]:
     return None if v is None else str(v)
 
 
-def _certificate_record(cert: Optional[Certificate]) -> Optional[dict]:
-    return None if cert is None else {
+def _certificate_record(cert: Certificate) -> dict:
+    """The JSON form of a certificate; `_emit_json` renders it, so that CSV
+    and table rows, which never print it, do not pay for its strings."""
+    return {
         "ab": str(cert.r_ab), "ac": str(cert.r_ac),
         "bc": str(cert.r_bc), "abc": str(cert.r_abc),
     }
@@ -37,7 +39,8 @@ def _certificate_record(cert: Optional[Certificate]) -> Optional[dict]:
 
 def _record(n: Optional[int], variant: str, a: int, r: int, b: int, c: int,
             s: int, admissible: bool, cert: Certificate) -> dict:
-    """One gen or search row, in CSV_COLUMNS order plus its certificate."""
+    """One gen or search row, in CSV_COLUMNS order plus its certificate
+    (left as a `Certificate` until JSON output renders it)."""
     return {
         "n": _opt_str(n),
         "variant": variant,
@@ -47,13 +50,13 @@ def _record(n: Optional[int], variant: str, a: int, r: int, b: int, c: int,
         "c": str(c),
         "s": str(s),
         "admissible": admissible,
-        "certificate": _certificate_record(cert),
+        "certificate": cert,
     }
 
 
 def _emit_json(command: str, payload: dict) -> None:
     doc = {"schema_version": SCHEMA_VERSION, "command": command, "payload": payload}
-    print(json.dumps(doc, indent=2))
+    print(json.dumps(doc, indent=2, default=_certificate_record))
 
 
 def _emit_csv(records: list) -> None:
@@ -108,7 +111,7 @@ def _cmd_verify(args) -> int:
         payload = {
             "a": str(a), "b": str(b), "c": str(c),
             "ok": outcome.ok,
-            "certificate": _certificate_record(outcome.certificate),
+            "certificate": outcome.certificate,
             "first_failure": outcome.first_failure,
             "failing_value": _opt_str(outcome.failing_value),
         }
@@ -220,7 +223,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="exhaustive census up to a bound")
     p.add_argument("--max", type=int, required=True, help="upper bound for c")
     p.add_argument("--jobs", type=int, default=1,
-                   help="parallel workers (default 1)")
+                   help="parallel workers (default 1; at most one per CPU)")
     p.add_argument("--oracle", action="store_true",
                    help=f"cross-check against the brute-force reference "
                         f"(bound <= {ORACLE_MAX_BOUND})")

@@ -8,8 +8,8 @@ into orbits under the unit r + sqrt(ab).  Each orbit holds a small seed
 (Nagell's bound, see `pell_orbit`), so the census tests a handful of seeds
 per pair and follows their orbits up to the bound.  Each iterate (t, s)
 gives c = (s^2-1)/a with bc+1 = t^2 by construction (checked, not searched
-for) and a mask-filtered square test of abc+1.  A compiled kernel covers the
-same scan for bounds whose arithmetic fits in 64 bits (up to its exported
+for) and an exact square test of abc+1.  A compiled kernel covers the same
+scan for bounds whose arithmetic fits in 64 bits (up to its exported
 MAX_BOUND); the pure-Python path is the fallback and the reference for it.
 
 `brute_oracle` is the deliberately dumb cross-check: double pair loop plus a
@@ -17,6 +17,7 @@ full scan of c, never sharing code with the fast path.
 """
 
 import math
+import os
 import threading
 import time
 from collections import deque
@@ -35,7 +36,7 @@ ORACLE_MAX_BOUND = 2000
 # The pure census sieves r up to about the bound, at about 40 bytes a list
 # entry: 400 MB at this cap.  That is per process: with jobs > 1 each pool
 # process builds its own sieve up to its chunk's r_hi, so a run near the cap
-# can hold up to `jobs` such sieves at once.
+# can hold as many such sieves at once as it has workers (see search_triples).
 PURE_MAX_BOUND = 10**7
 
 Triple = Tuple[int, int, int, Certificate]
@@ -330,12 +331,14 @@ def search_triples(bound: int, jobs: int = 1,
 
     Deterministic regardless of `jobs`: workers (threads on the kernel path,
     processes on the pure path) cover disjoint r-ranges and the merged
-    output is sorted and deduplicated.
+    output is sorted and deduplicated.  It starts min(jobs, chunks, CPUs)
+    workers, so a `jobs` far past the core count starts no more workers than
+    there are cores.
     """
     start = time.monotonic()
     use_kernel, _ = census_path(bound, force_pure, jobs)
     chunks = _chunk_plan(bound, jobs, use_kernel)
-    workers = min(jobs, len(chunks))
+    workers = min(jobs, len(chunks), os.cpu_count() or 1)
     if workers <= 1:
         results = [_chunk_worker(chunk) for chunk in chunks]
     elif use_kernel:

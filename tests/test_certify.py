@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foursq import DomainError, isqrt, perfect_square_root, verify_four
-from foursq.certify import _QR_MASKS, passes_qr_masks
 
 
 @pytest.mark.parametrize("v,root", [
@@ -46,22 +45,6 @@ def test_perfect_square_root_values(v, expected):
     assert perfect_square_root(v) == expected
 
 
-def test_qr_masks_exact():
-    # each mask bit is set exactly on the residues of the squares mod m,
-    # so the pre-filter can never reject a true square
-    for m, mask in _QR_MASKS:
-        residues = {(t * t) % m for t in range(m)}
-        got = {v for v in range(m) if (mask >> v) & 1}
-        assert got == residues
-
-
-def test_qr_masks_never_reject_squares():
-    rng = random.Random(7)
-    for _ in range(2_000):
-        v = rng.getrandbits(128)
-        assert passes_qr_masks(v * v)
-
-
 def test_verify_four_known_good():
     out = verify_four(5, 7, 24)
     assert out.ok
@@ -95,7 +78,7 @@ def test_verify_four_rejects_nonpositive():
 
 
 def _verify_reference(a, b, c):
-    """Mask-free reference: stdlib isqrt on each condition in order."""
+    """Reference: stdlib isqrt on each condition in order."""
     for name, v in (("ab", a * b + 1), ("ac", a * c + 1),
                     ("bc", b * c + 1), ("abc", a * b * c + 1)):
         r = math.isqrt(v)

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import pytest
 from foursq import (ConstructionError, NotDiophantinePair, conic_point,
                     degenerate_family, make_companion, make_main, poly_a,
                     poly_b, poly_c, poly_r, poly_s, recurrence_r,
-                    regular_complete, verify_four)
+                    regular_complete, seq_A, verify_four)
 from foursq.certify import Certificate, DomainError
 from foursq.sequences import ConicPoint
 
@@ -143,6 +144,28 @@ def test_companion_pair_invariants():
         t = make_companion(n)
         assert t.a * t.b + 1 == t.r * t.r
         assert t.c == t.a + t.b + 2 * t.r
+
+
+def test_readme_neither_family_triples():
+    # The README says (8, 105, 171), (20, 84, 186) and (3, 133, 176) come
+    # from neither family.  Every member of either family has the entry
+    # a = A(n)^2 + 4, so only the n with |A(n)| <= isqrt(max entry - 4) can
+    # give one of them.  |A(n)| rises with |n| on both sides from
+    # |A(0)| = 1 (A and n -> -A(-n) obey x(n+1) = 4x(n) - x(n-1), which
+    # keeps a positive rising pair rising, and both start so), so
+    # |A(n)| > |n| and those n lie within |n| <= limit.
+    neither = [(8, 105, 171), (20, 84, 186), (3, 133, 176)]
+    assert 0 < seq_A(0) < seq_A(1) and 0 < -seq_A(-1) < -seq_A(-2)
+    limit = math.isqrt(max(max(t) for t in neither) - 4)
+    window = [n for n in range(-limit, limit + 1) if abs(seq_A(n)) <= limit]
+    assert window == [-2, -1, 0, 1]
+    made = {tuple(sorted((t.a, t.b, t.c)))
+            for n in window for t in (make_main(n), make_companion(n))}
+    assert not made & set(neither)
+    # the README's members among the classical triples are found
+    assert {(5, 7, 24), (8, 45, 91)} <= made
+    for triple in neither:
+        assert verify_four(*triple).ok
 
 
 def test_off_conic_point_is_rejected_before_polynomials():

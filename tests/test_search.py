@@ -392,6 +392,40 @@ def test_chunk_plan_tiles_the_r_range(bound, jobs):
     assert all(lo < hi for lo, hi in zip(edges, edges[1:]))
 
 
+def test_workers_are_capped_at_the_cpu_count(kernel, monkeypatch):
+    # jobs=5000 plans 19,997 chunks at 20,000: without the CPU cap that is
+    # 5000 threads or pool processes.  The stubs refuse, before any starts.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    asked = []
+
+    def ask(workers, n_chunks):
+        if workers > 2:
+            raise AssertionError(f"{workers} workers asked for on 2 CPUs")
+        asked.append(workers)
+        return [([], 0, 0)] * n_chunks
+
+    class RecordingPool:
+        def __init__(self, processes):
+            self.processes = processes
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, chunks):
+            return ask(self.processes, len(chunks))
+
+    monkeypatch.setattr(search, "Pool", RecordingPool)
+    monkeypatch.setattr(search, "_map_on_threads",
+                        lambda chunks, workers: ask(workers, len(chunks)))
+    monkeypatch.setattr(search, "_kernel", kernel)
+    search_triples(20_000, jobs=5000)
+    search_triples(20_000, jobs=5000, force_pure=True)
+    assert asked == [2, 2]
+
+
 def test_family_members_appear_in_census():
     res = search_triples(50_000)
     got = {t[:3] for t in res.triples}
