@@ -75,13 +75,19 @@ def trajectory_run(bounds):
                          "pairs": result.stats.pairs_scanned,
                          "candidates": result.stats.candidates_tested})
             print(rows[-1], file=sys.stderr)
+    return {**environment(), "rows": rows}
+
+
+def environment():
+    """Where a trajectory run was taken: the commit, whether src/ differs
+    from it, the Python version, the core count and whether the kernel
+    loaded."""
     return {"commit": _git("rev-parse", "--short", "HEAD"),
             "src_modified": bool(_git("status", "--porcelain",
                                       "--untracked-files=no", "--", "src")),
             "python": platform.python_version(),
             "cores": os.cpu_count(),
-            "kernel_loaded": kernel_loaded(),
-            "rows": rows}
+            "kernel_loaded": kernel_loaded()}
 
 
 def append_run(path, run):

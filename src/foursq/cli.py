@@ -8,6 +8,7 @@ byte-identical across runs for identical arguments.
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from typing import Optional
@@ -198,7 +199,14 @@ def _cmd_seq(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused.
+
+    Reuse is safe because the parser holds no per-call state: argparse
+    looks up sys.stdout, sys.stderr and the terminal width when it prints,
+    and each `_cmd_*` handler looks up its globals when it runs.
+    """
     parser = argparse.ArgumentParser(
         prog="foursq",
         description="Four-square triples: generate family members, verify, "

@@ -120,7 +120,8 @@ def divisors(factors: List[Tuple[int, int]]) -> List[int]:
     return divs
 
 
-# Not used by the census; kept until perfbench/tracing.py drops unit_roots.
+# Not used by the census: tests count the census's pairs with it, an
+# oracle independent of `find_pairs`.
 def unit_square_roots(m: int, spf: List[int]) -> Tuple[int, ...]:
     """All t in [0, m) with t^2 == 1 (mod m), by CRT over prime powers."""
     if m == 1:
@@ -265,13 +266,14 @@ def _chunk_worker(args) -> Tuple[List[Tuple[int, ...]], int, int]:
     return _census_chunk_py(bound, r_lo, r_hi)
 
 
-def _chunk_plan(bound: int, jobs: int, use_kernel: bool) -> List[tuple]:
+def _chunk_plan(bound: int, workers: int, use_kernel: bool) -> List[tuple]:
     """The `_chunk_worker` arguments of a census: the whole r-range for one
-    job, else about 4*jobs disjoint r-ranges (never more than r-values)."""
+    worker, else about 4*workers disjoint r-ranges (never more than
+    r-values)."""
     r_max = _r_max(bound)
-    if jobs == 1:
+    if workers == 1:
         return [(bound, 3, r_max, use_kernel)]
-    n_chunks = 4 * jobs
+    n_chunks = 4 * workers
     step = max(1, (r_max - 3 + n_chunks - 1) // n_chunks)
     return [(bound, lo, min(lo + step, r_max), use_kernel)
             for lo in range(3, r_max, step)]
@@ -331,14 +333,15 @@ def search_triples(bound: int, jobs: int = 1,
 
     Deterministic regardless of `jobs`: workers (threads on the kernel path,
     processes on the pure path) cover disjoint r-ranges and the merged
-    output is sorted and deduplicated.  It starts min(jobs, chunks, CPUs)
-    workers, so a `jobs` far past the core count starts no more workers than
-    there are cores.
+    output is sorted and deduplicated.  It plans its chunks for
+    min(jobs, CPUs) workers and starts no more workers than chunks, so a
+    `jobs` far past the core count costs no more than one job per core.
     """
     start = time.monotonic()
     use_kernel, _ = census_path(bound, force_pure, jobs)
-    chunks = _chunk_plan(bound, jobs, use_kernel)
-    workers = min(jobs, len(chunks), os.cpu_count() or 1)
+    workers = min(jobs, os.cpu_count() or 1)
+    chunks = _chunk_plan(bound, workers, use_kernel)
+    workers = min(workers, len(chunks))
     if workers <= 1:
         results = [_chunk_worker(chunk) for chunk in chunks]
     elif use_kernel:

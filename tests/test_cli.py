@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -438,3 +439,79 @@ def test_stdout_is_the_same_under_python_O(argv):
             for flags in ([], ["-O"])]
     assert [proc.returncode for proc in runs] == [0, 0]
     assert runs[1].stdout == runs[0].stdout
+
+
+# Every subcommand, usage errors (exit 2 from argparse), a domain error
+# (exit 2 from a handler), a failed verify (exit 1), help and no arguments;
+# "gen 0 2" after "gen 0 1 both --format csv" relies on the defaults that
+# the earlier call overrode.
+MIXED_ARGV = [
+    "gen 0 1 both --format json", "gen 0 1 both --format csv", "gen 0 2",
+    "seq Q 0 1", "gen 2 1", "search --max 300 --format csv",
+    "search --max 200", "verify 2 3 5", "verify 5 7 24 --format json",
+    "prove", "prove --format json", "seq A 1 4", "--help", "search --help",
+    "verify x 1 2", "gen 0", "",
+]
+
+
+def _mixed_run(capsys, argvs, fresh_parser=False):
+    """(exit code, stdout, stderr) of each command, with search's elapsed
+    time cut from stderr; with `fresh_parser`, every call builds its own."""
+    runs = []
+    for argv in argvs:
+        if fresh_parser:
+            cli._build_parser.cache_clear()
+        code, out, err = run_cli(capsys, *argv.split())
+        runs.append((code, out, re.sub(r", \d+\.\d{3}s$", "", err,
+                                       flags=re.M)))
+    return runs
+
+
+def test_main_reuses_its_parser_with_the_same_output(capsys):
+    fresh = _mixed_run(capsys, MIXED_ARGV, fresh_parser=True)
+    cli._build_parser.cache_clear()
+    again = _mixed_run(capsys, MIXED_ARGV)
+    backward = _mixed_run(capsys, MIXED_ARGV[::-1])[::-1]
+    assert cli._build_parser.cache_info().misses == 1
+    assert again == fresh
+    assert backward == fresh
+    assert sorted({code for code, _, _ in fresh}) == [0, 1, 2]
+
+
+def test_the_parser_is_built_on_the_first_call_not_at_import():
+    probe = """
+import contextlib, io
+import foursq.cli as cli
+misses = [cli._build_parser.cache_info().misses]
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(["seq", "P", "0", "0"])
+    cli.main(["seq", "P", "0", "0"])
+misses.append(cli._build_parser.cache_info().misses)
+print(misses)
+"""
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=env)
+    assert proc.stdout == "[0, 1]\n"
+
+
+def test_help_follows_the_terminal_width_after_the_parser_is_built(
+        capsys, monkeypatch):
+    run_cli(capsys, "seq", "P", "0", "0")  # built at the default width
+    helps = {}
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        helps[columns] = run_cli(capsys, "search", "--help")
+        cli._build_parser.cache_clear()
+        assert run_cli(capsys, "search", "--help") == helps[columns]
+    assert helps["40"] != helps["200"]
+
+
+def test_a_patched_handler_global_is_honoured_by_a_built_parser(
+        capsys, monkeypatch):
+    run_cli(capsys, "seq", "P", "0", "0")
+    report = SimpleNamespace(items=[], core_ok=False, core_passed=0,
+                             core_total=8)
+    monkeypatch.setattr(cli, "prove_identities", lambda: report)
+    assert run_cli(capsys, "prove") == (1, "name  status  description\n"
+                                        "core identities: 0/8 pass\n", "")

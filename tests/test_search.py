@@ -247,6 +247,26 @@ def test_kernel_census_counts_past_the_pure_path(kernel, bound, triples,
     assert (got_pairs, got_candidates) == (pairs, candidates)
 
 
+def _pairs_by_unit_roots(bound):
+    """The pairs a < b <= bound with ab+1 = r^2, counted over a by a method
+    that shares nothing with `find_pairs`: b > a is r > a, b <= bound is
+    r <= isqrt(a*bound+1), and b is an integer when r^2 == 1 (mod a)."""
+    spf = spf_sieve(bound)
+    count = 0
+    for a in range(2, bound):
+        r_top = math.isqrt(a * bound + 1)
+        for t in unit_square_roots(a, spf):
+            count += (r_top - t) // a  # r = t + k*a, k >= 1, as 1 <= t < a
+    return count
+
+
+@pytest.mark.parametrize("bound,pairs", [(2000, 8_351), (10_000, 51_665)])
+def test_pairs_scanned_equals_a_count_by_unit_roots(kernel, bound, pairs):
+    assert _pairs_by_unit_roots(bound) == pairs
+    assert _census_chunk_py(bound, 3, _r_max(bound))[1] == pairs
+    assert kernel.census_chunk(bound, 3, _r_max(bound))[1] == pairs
+
+
 def test_kernel_chunk_edges(kernel):
     bound = 2000
     edges = [-5, 0, 2, 3, 4, 47, 48, 1000, _r_max(bound) - 1, _r_max(bound),
@@ -393,16 +413,18 @@ def test_chunk_plan_tiles_the_r_range(bound, jobs):
 
 
 def test_workers_are_capped_at_the_cpu_count(kernel, monkeypatch):
-    # jobs=5000 plans 19,997 chunks at 20,000: without the CPU cap that is
-    # 5000 threads or pool processes.  The stubs refuse, before any starts.
+    # without the CPU cap, jobs=5000 would start 5000 threads or pool
+    # processes, and would plan about 4*5000 chunks (19,997 at 20,000), each
+    # building its own sieve.  The stubs refuse more than 2 workers before
+    # any starts, and record the chunks they are handed.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     asked = []
 
-    def ask(workers, n_chunks):
+    def ask(workers, chunks):
         if workers > 2:
             raise AssertionError(f"{workers} workers asked for on 2 CPUs")
-        asked.append(workers)
-        return [([], 0, 0)] * n_chunks
+        asked.append((workers, len(chunks)))
+        return [search._chunk_worker(chunk) for chunk in chunks]
 
     class RecordingPool:
         def __init__(self, processes):
@@ -415,15 +437,20 @@ def test_workers_are_capped_at_the_cpu_count(kernel, monkeypatch):
             return False
 
         def map(self, func, chunks):
-            return ask(self.processes, len(chunks))
+            return ask(self.processes, chunks)
 
     monkeypatch.setattr(search, "Pool", RecordingPool)
     monkeypatch.setattr(search, "_map_on_threads",
-                        lambda chunks, workers: ask(workers, len(chunks)))
+                        lambda chunks, workers: ask(workers, chunks))
     monkeypatch.setattr(search, "_kernel", kernel)
-    search_triples(20_000, jobs=5000)
-    search_triples(20_000, jobs=5000, force_pure=True)
-    assert asked == [2, 2]
+    for bound, pure in ((20_000, False), (2000, True)):
+        many = search_triples(bound, jobs=5000, force_pure=pure)
+        lone = search_triples(bound, jobs=1, force_pure=pure)
+        assert many.triples == lone.triples
+        assert many.stats.pairs_scanned == lone.stats.pairs_scanned
+        assert many.stats.candidates_tested == lone.stats.candidates_tested
+    assert [workers for workers, _ in asked] == [2, 2]
+    assert all(n_chunks <= 8 for _, n_chunks in asked)
 
 
 def test_family_members_appear_in_census():
