@@ -9,9 +9,8 @@ Python otherwise).
 from .certify import (Certificate, DomainError, VerifyOutcome, isqrt,
                       perfect_square_root, verify_four)
 from .family import (ConstructionError, NotDiophantinePair, TripleCandidate,
-                     degenerate_family, make_companion, make_main, poly_a,
-                     poly_b, poly_c, poly_r, poly_s, recurrence_r,
-                     regular_complete)
+                     degenerate_family, make_companion, make_main,
+                     recurrence_r, regular_complete)
 from .search import (SearchResult, SearchStats, brute_oracle, find_pairs,
                      kernel_loaded, search_triples)
 from .sequences import (ConicPoint, PellNumber, binet_exact, conic_point,
@@ -25,7 +24,6 @@ __all__ = [
     "perfect_square_root", "verify_four",
     "ConstructionError", "NotDiophantinePair", "TripleCandidate",
     "degenerate_family", "make_companion", "make_main",
-    "poly_a", "poly_b", "poly_c", "poly_r", "poly_s",
     "recurrence_r", "regular_complete",
     "SearchResult", "SearchStats", "brute_oracle", "find_pairs",
     "kernel_loaded", "search_triples",

@@ -78,6 +78,17 @@ def _emit_table(records: list) -> None:
         print("  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip())
 
 
+def _emit(fmt: str, command: str, payload: dict, records: list) -> None:
+    """Print gen or search output: the whole JSON `payload`, or `records`
+    as CSV or as a table."""
+    if fmt == "json":
+        _emit_json(command, payload)
+    elif fmt == "csv":
+        _emit_csv(records)
+    else:
+        _emit_table(records)
+
+
 def _check_index_range(start: int, stop: int) -> None:
     for n in (start, stop):
         if abs(n) > INDEX_CAP:
@@ -96,12 +107,7 @@ def _cmd_gen(args) -> int:
             records.append(_record(cand.n, cand.variant, cand.a, cand.r,
                                    cand.b, cand.c, cand.s, cand.admissible,
                                    cand.certificate()))
-    if args.format == "json":
-        _emit_json("gen", {"records": records})
-    elif args.format == "csv":
-        _emit_csv(records)
-    else:
-        _emit_table(records)
+    _emit(args.format, "gen", {"records": records}, records)
     return 0
 
 
@@ -139,20 +145,15 @@ def _cmd_search(args) -> int:
     records = [_record(None, "external", a, cert.r_ab, b, c, cert.r_abc,
                        True, cert)
                for a, b, c, cert in result.triples]
-    if args.format == "json":
-        _emit_json("search", {
-            "bound": result.bound,
-            "count": len(records),
-            "triples": records,
-            "stats": {
-                "pairs_scanned": result.stats.pairs_scanned,
-                "candidates_tested": result.stats.candidates_tested,
-            },
-        })
-    elif args.format == "csv":
-        _emit_csv(records)
-    else:
-        _emit_table(records)
+    _emit(args.format, "search", {
+        "bound": result.bound,
+        "count": len(records),
+        "triples": records,
+        "stats": {
+            "pairs_scanned": result.stats.pairs_scanned,
+            "candidates_tested": result.stats.candidates_tested,
+        },
+    }, records)
     print(f"search --max {result.bound}: {len(records)} triples, "
           f"{result.stats.pairs_scanned} pairs scanned, "
           f"{result.stats.candidates_tested} candidates tested, "

@@ -18,11 +18,10 @@ from dataclasses import dataclass
 
 from . import forms
 from .certify import Certificate, DomainError, perfect_square_root
-from .sequences import ConicPoint, conic_point, seq_A, seq_R
+from .sequences import conic_point, seq_A, seq_R
 
 __all__ = [
     "TripleCandidate", "Certificate", "NotDiophantinePair", "ConstructionError",
-    "poly_a", "poly_r", "poly_b", "poly_c", "poly_s",
     "make_main", "make_companion", "recurrence_r",
     "regular_complete", "degenerate_family",
 ]
@@ -46,7 +45,7 @@ class TripleCandidate:
     """
 
     n: int
-    variant: str  # "main" | "companion" | "external"
+    variant: str  # "main" | "companion"
     x: int
     y: int
     a: int
@@ -62,39 +61,6 @@ class TripleCandidate:
                            abs(self.b + self.r), self.s)
 
 
-def _eval_int(table: dict, pt: ConicPoint, what: str) -> int:
-    v = forms.evaluate(table, pt.x, pt.y)
-    if v.denominator != 1:
-        raise ConstructionError(
-            f"{what} evaluated to non-integer {v} at ({pt.x}, {pt.y}); "
-            f"point is off the conic")
-    return int(v)
-
-
-def poly_a(pt: ConicPoint) -> int:
-    """a = 5x^2 - 12xy + 8y^2; equals (x+2y)^2 + 4 on the conic."""
-    return _eval_int(forms.ELEM_A, pt, "a")
-
-
-def poly_r(pt: ConicPoint) -> int:
-    """The cubic form for r (root of ab+1); integral on the conic."""
-    return _eval_int(forms.ROOT_R, pt, "r")
-
-
-def poly_b(pt: ConicPoint) -> int:
-    return _eval_int(forms.ELEM_B, pt, "b")
-
-
-def poly_c(pt: ConicPoint) -> int:
-    return _eval_int(forms.ELEM_C, pt, "c")
-
-
-def poly_s(pt: ConicPoint) -> int:
-    """Nonnegative root of abc+1; the quintic form may go negative on the
-    negative branch, so the absolute value is taken."""
-    return abs(_eval_int(forms.ROOT_S, pt, "s"))
-
-
 def _admissible(a: int, b: int, c: int) -> bool:
     return a > 1 and b > 1 and c > 1 and a != b and a != c and b != c
 
@@ -104,8 +70,14 @@ def _construct(n: int, variant: str) -> TripleCandidate:
     conic_point(n), every invariant checked with `if` (not `assert`, so also
     under python -O)."""
     pt = conic_point(n)
-    a, r, b, c, s = (_eval_int(table, pt, f"{variant} {what}")
-                     for table, what in zip(forms.FAMILIES[variant], "arbcs"))
+    values = [forms.evaluate(table, pt.x, pt.y)
+              for table in forms.FAMILIES[variant]]
+    for what, v in zip("arbcs", values):
+        if v.denominator != 1:
+            raise ConstructionError(
+                f"{variant} {what} evaluated to non-integer {v} at "
+                f"({pt.x}, {pt.y}); point is off the conic")
+    a, r, b, c, s = map(int, values)
     s = abs(s)  # the quintic s forms go negative on the negative branch
     for k, diff in enumerate(forms.triple_conditions(a, r, b, c, s), 1):
         if diff:
@@ -129,7 +101,8 @@ def make_companion(n: int) -> TripleCandidate:
 
 
 def recurrence_r(n: int) -> int:
-    """r = A(n)^2 R(n) + A(n+1) - 2, the recurrence presentation of poly_r."""
+    """r = A(n)^2 R(n) + A(n+1) - 2, the recurrence presentation of the main
+    family's r (`forms.ROOT_R`)."""
     A = seq_A(n)
     return A * A * seq_R(n) + seq_A(n + 1) - 2
 

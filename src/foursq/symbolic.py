@@ -22,7 +22,9 @@ class BiPoly:
     """Bivariate polynomial over exact rationals, stored sparsely.
 
     Terms map (x_degree, y_degree) to a nonzero Fraction; the zero polynomial
-    has no terms, which makes the representation canonical.
+    has no terms, which makes the representation canonical.  `__init__` is
+    the one place that converts coefficients and drops zeros: every operator
+    builds a plain dict and hands it over.
     """
 
     __slots__ = ("terms",)
@@ -63,11 +65,7 @@ class BiPoly:
             other = BiPoly.const(other)
         out = dict(self.terms)
         for mono, coef in other.terms.items():
-            v = out.get(mono, Fraction(0)) + coef
-            if v:
-                out[mono] = v
-            else:
-                out.pop(mono, None)
+            out[mono] = out.get(mono, 0) + coef
         return BiPoly(out)
 
     def __neg__(self) -> "BiPoly":
@@ -77,24 +75,16 @@ class BiPoly:
         return self + (-other)
 
     def __mul__(self, other) -> "BiPoly":
-        if isinstance(other, BiPoly):
-            out: Dict[Monomial, Fraction] = {}
-            for (i1, j1), c1 in self.terms.items():
-                for (i2, j2), c2 in other.terms.items():
-                    mono = (i1 + i2, j1 + j2)
-                    v = out.get(mono, Fraction(0)) + c1 * c2
-                    if v:
-                        out[mono] = v
-                    else:
-                        out.pop(mono, None)
-            return BiPoly(out)
-        return self.scale(other)
+        if not isinstance(other, BiPoly):
+            other = BiPoly.const(other)
+        out: Dict[Monomial, Fraction] = {}
+        for (i1, j1), c1 in self.terms.items():
+            for (i2, j2), c2 in other.terms.items():
+                mono = (i1 + i2, j1 + j2)
+                out[mono] = out.get(mono, 0) + c1 * c2
+        return BiPoly(out)
 
     __rmul__ = __mul__
-
-    def scale(self, q) -> "BiPoly":
-        q = Fraction(q)
-        return BiPoly({m: c * q for m, c in self.terms.items()})
 
     def __pow__(self, k: int) -> "BiPoly":
         if not isinstance(k, int) or k < 0:
@@ -122,16 +112,8 @@ class BiPoly:
             parts.append(f"{c}{'*' if mono else ''}{mono}")
         return "BiPoly(" + " + ".join(parts) + ")"
 
-    @classmethod
-    def from_table(cls, table: dict) -> "BiPoly":
-        return cls({m: Fraction(c) for m, c in table.items()})
-
 
 _YPoly = Tuple[Tuple[int, Fraction], ...]  # sorted ((y_degree, coeff), ...)
-
-
-def _ypoly(d: Dict[int, Fraction]) -> _YPoly:
-    return tuple(sorted((j, c) for j, c in d.items() if c))
 
 
 @dataclass(frozen=True)
@@ -149,9 +131,6 @@ class NormalForm:
         terms.update({(1, j): c for j, c in self.c1})
         return BiPoly(terms)
 
-    def evaluate(self, x, y) -> Fraction:
-        return self.lift().evaluate(x, y)
-
 
 def reduce(p: BiPoly) -> NormalForm:
     """Rewrite x^2 -> 4xy - y^2 + 1 until the x-degree is at most 1.
@@ -163,20 +142,18 @@ def reduce(p: BiPoly) -> NormalForm:
     max_i = max((i for (i, _) in p.terms), default=0)
     cols: List[Dict[int, Fraction]] = [{} for _ in range(max_i + 1)]
     for (i, j), c in p.terms.items():
-        cols[i][j] = cols[i].get(j, Fraction(0)) + c
+        cols[i][j] = c
     for i in range(max_i, 1, -1):
-        col = cols[i]
-        if not col:
-            continue
         down1, down2 = cols[i - 1], cols[i - 2]
-        for j, c in col.items():
-            if not c:
-                continue
-            down1[j + 1] = down1.get(j + 1, Fraction(0)) + 4 * c
-            down2[j + 2] = down2.get(j + 2, Fraction(0)) - c
-            down2[j] = down2.get(j, Fraction(0)) + c
-        cols[i] = {}
-    return NormalForm(_ypoly(cols[0]), _ypoly(cols[1] if max_i >= 1 else {}))
+        for j, c in cols[i].items():
+            down1[j + 1] = down1.get(j + 1, 0) + 4 * c
+            down2[j + 2] = down2.get(j + 2, 0) - c
+            down2[j] = down2.get(j, 0) + c
+    # BiPoly drops the zero coefficients, which makes the residue canonical
+    low = sorted(BiPoly({(i, j): c for i, col in enumerate(cols[:2])
+                         for j, c in col.items()}).terms.items())
+    return NormalForm(tuple((j, c) for (i, j), c in low if i == 0),
+                      tuple((j, c) for (i, j), c in low if i == 1))
 
 
 @dataclass(frozen=True)
@@ -231,7 +208,7 @@ def _build_polys(table_overrides: Optional[dict] = None) -> dict:
     }
     if table_overrides:
         src.update(table_overrides)
-    return {k: BiPoly.from_table(t) for k, t in src.items()}
+    return {k: BiPoly(t) for k, t in src.items()}
 
 
 def prove_identities(table_overrides: Optional[dict] = None) -> IdentityReport:
@@ -275,26 +252,18 @@ def prove_identities(table_overrides: Optional[dict] = None) -> IdentityReport:
     # I9: same combination with 1 written as conic^5; every factor is
     # homogeneous of matching degree, so it may vanish identically.
     probe = abc_factored + P["conic"] ** 5 - s * s
-    if probe.is_zero():
-        items.append(IdentityResult(
-            "I9", "homogenized abc+1 = s^2, pre-reduction", True, None,
-            note="holds as an exact polynomial identity"))
-    else:
-        nf = reduce(probe)
-        items.append(IdentityResult(
-            "I9", "homogenized abc+1 = s^2, pre-reduction", nf.is_zero(),
-            None if nf.is_zero() else nf,
-            note="holds only after reduction" if nf.is_zero() else ""))
+    nf = reduce(probe)
+    items.append(IdentityResult(
+        "I9", "homogenized abc+1 = s^2, pre-reduction", nf.is_zero(),
+        None if nf.is_zero() else nf,
+        note=("holds as an exact polynomial identity" if probe.is_zero()
+              else "holds only after reduction" if nf.is_zero() else "")))
 
     # I10: companion root, numeric agreement only (no ring claim is made).
-    comp_expr = P["A"] * P["A"] * P["R2_prev"] - 2 * P["A_prev"] - 4
-    mismatches = []
-    for n in range(0, 7):
-        pt = conic_point(n)
-        want = 2 * P["comp_r"].evaluate(pt.x, pt.y)
-        got = comp_expr.evaluate(pt.x, pt.y)
-        if got != want:
-            mismatches.append(n)
+    gap = (P["A"] * P["A"] * P["R2_prev"] - 2 * P["A_prev"] - 4
+           - 2 * P["comp_r"])
+    mismatches = [n for n, pt in enumerate(map(conic_point, range(7)))
+                  if gap.evaluate(pt.x, pt.y)]
     items.append(IdentityResult(
         "I10", "2*r_companion = A^2*(2R_prev) - 2*A_prev - 4 at n=0..6",
         not mismatches, None,

@@ -6,51 +6,14 @@ from pathlib import Path
 
 import pytest
 
-from foursq import (ConstructionError, NotDiophantinePair, conic_point,
-                    degenerate_family, make_companion, make_main, poly_a,
-                    poly_b, poly_c, poly_r, poly_s, recurrence_r,
+import foursq
+from foursq import (ConstructionError, NotDiophantinePair, degenerate_family,
+                    family, make_companion, make_main, recurrence_r,
                     regular_complete, seq_A, verify_four)
 from foursq.certify import Certificate, DomainError
 from foursq.sequences import ConicPoint
 
 REPO = Path(__file__).resolve().parent.parent
-
-
-@pytest.mark.parametrize("pt,expected", [
-    ((1, 0), 5), ((4, 1), 40), ((780, 209), 1435208),
-])
-def test_poly_a_values(pt, expected):
-    assert poly_a(ConicPoint(*pt)) == expected
-
-
-@pytest.mark.parametrize("pt,expected", [
-    ((1, 0), 6), ((4, 1), 309), ((780, 209), 2347998213),
-])
-def test_poly_r_values(pt, expected):
-    assert poly_r(ConicPoint(*pt)) == expected
-
-
-@pytest.mark.parametrize("pt,b,c", [
-    ((1, 0), 7, 24),
-    ((4, 1), 2387, 3045),
-    ((780, 209), 3841321681771, 3846019113405),
-])
-def test_poly_b_c_values(pt, b, c):
-    assert poly_b(ConicPoint(*pt)) == b
-    assert poly_c(ConicPoint(*pt)) == c
-
-
-@pytest.mark.parametrize("pt,expected", [
-    ((1, 0), 29), ((4, 1), 17051), ((780, 209), 4604722693427179),
-])
-def test_poly_s_values(pt, expected):
-    assert poly_s(ConicPoint(*pt)) == expected
-
-
-def test_poly_s_squares_abc_plus_one():
-    pt = ConicPoint(4, 1)
-    s = poly_s(pt)
-    assert s * s == 40 * 2387 * 3045 + 1
 
 
 MAIN_ROWS = {
@@ -98,7 +61,7 @@ def test_main_certificate_n0():
 
 def test_poly_r_matches_recurrence_presentation():
     for n in range(0, 9):
-        assert poly_r(conic_point(n)) == recurrence_r(n)
+        assert make_main(n).r == recurrence_r(n)
 
 
 @pytest.mark.parametrize("n,expected", [(0, 6), (2, 16483), (4, 45133154)])
@@ -168,19 +131,24 @@ def test_readme_neither_family_triples():
         assert verify_four(*triple).ok
 
 
-def test_off_conic_point_is_rejected_before_polynomials():
-    with pytest.raises(ValueError):
-        poly_r(ConicPoint(2, 2))
-
-
-def test_non_integer_polynomial_value_raises():
-    # bypass the conic check to hit the integrality guard in the evaluator;
-    # both coordinates odd leaves the half-integer terms unpaired
+def test_non_integer_polynomial_value_raises(monkeypatch):
+    # bypass the conic check to hit the integrality guard in the constructor;
+    # both coordinates odd leaves the half-integer terms of r unpaired
     pt = ConicPoint.__new__(ConicPoint)
     object.__setattr__(pt, "x", 1)
     object.__setattr__(pt, "y", 1)
-    with pytest.raises(ConstructionError):
-        poly_r(pt)
+    monkeypatch.setattr(family, "conic_point", lambda n: pt)
+    with pytest.raises(ConstructionError, match="non-integer"):
+        make_main(0)
+
+
+@pytest.mark.parametrize("module", [foursq, family],
+                         ids=lambda m: m.__name__)
+def test_exported_names_resolve(module):
+    # `from module import *` raises AttributeError on a name in __all__
+    # that the module does not define
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []
+    exec(f"from {module.__name__} import *", {})
 
 
 @pytest.mark.parametrize("a,b,c,r", [

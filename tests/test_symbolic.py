@@ -13,7 +13,7 @@ from foursq.symbolic import BiPoly, reduce
 X = BiPoly.x()
 Y = BiPoly.y()
 ONE = BiPoly.const(1)
-HOM = BiPoly.from_table(forms.CONIC_FORM)
+HOM = BiPoly(forms.CONIC_FORM)
 RELATION = HOM - ONE
 
 
@@ -30,6 +30,7 @@ def test_zero_polynomial_is_canonical():
     assert (X - X).is_zero()
     assert BiPoly({(1, 1): 0}).is_zero()
     assert X * BiPoly() == BiPoly()
+    assert (X * 0).is_zero() and (0 * X).is_zero()
 
 
 def test_int_operands_are_constants():
@@ -39,7 +40,7 @@ def test_int_operands_are_constants():
 
 
 def test_scale_and_rational_coefficients():
-    half = X.scale(Fraction(1, 2))
+    half = X * Fraction(1, 2)
     assert half + half == X
     assert (Fraction(3, 2) * Y).evaluate(0, 2) == 3
 
@@ -79,8 +80,8 @@ def test_reduce_x_squared():
 
 
 def test_reduce_a_minus_A_squared_plus_four():
-    a = BiPoly.from_table(forms.ELEM_A)
-    A = BiPoly.from_table(forms.A_FORM)
+    a = BiPoly(forms.ELEM_A)
+    A = BiPoly(forms.A_FORM)
     assert reduce(a - A * A - BiPoly.const(4)).is_zero()
 
 
@@ -130,18 +131,18 @@ def test_reduce_agrees_on_conic_points(terms):
     nf = reduce(p)
     for n in range(-6, 7):
         pt = conic_point(n)
-        assert p.evaluate(pt.x, pt.y) == nf.evaluate(pt.x, pt.y)
+        assert p.evaluate(pt.x, pt.y) == nf.lift().evaluate(pt.x, pt.y)
 
 
 def test_transcribed_forms_reduce_consistently_on_conic_points():
     for table in (forms.ELEM_A, forms.ROOT_R, forms.ELEM_B, forms.ELEM_C,
                   forms.ROOT_S, forms.COMP_R, forms.COMP_B, forms.COMP_C,
                   forms.COMP_S):
-        p = BiPoly.from_table(table)
+        p = BiPoly(table)
         nf = reduce(p)
         for n in range(-6, 7):
             pt = conic_point(n)
-            assert p.evaluate(pt.x, pt.y) == nf.evaluate(pt.x, pt.y)
+            assert p.evaluate(pt.x, pt.y) == nf.lift().evaluate(pt.x, pt.y)
 
 
 def test_prove_identities_all_pass():
@@ -160,6 +161,20 @@ def test_identity_probe_holds_before_reduction():
     i9 = report["I9"]
     assert i9.passed
     assert i9.note == "holds as an exact polynomial identity"
+
+
+@pytest.mark.parametrize("conic,passed,note", [
+    # 1 written as a constant: abc+1-s^2 vanishes only modulo the conic
+    ({(0, 0): 1}, True, "holds only after reduction"),
+    # 2 in place of 1 leaves abc+2^5-s^2 = 31 on the conic
+    ({(0, 0): 2}, False, ""),
+])
+def test_identity_probe_notes(conic, passed, note):
+    i9 = prove_identities({"conic": conic})["I9"]
+    assert (i9.passed, i9.note) == (passed, note)
+    assert (i9.residual is None) == passed
+    if not passed:
+        assert i9.residual.lift() == BiPoly.const(31)
 
 
 def test_companion_root_numeric_identity():
@@ -207,10 +222,10 @@ def _companion_residues(overrides=None):
     `forms.FAMILIES` and of its r-recurrence; all zero when the COMP_*
     tables are right."""
     t = dict(zip("arbcs", forms.FAMILIES["companion"]), **(overrides or {}))
-    a, r, b, c, s = (BiPoly.from_table(t[k]) for k in "arbcs")
-    A = BiPoly.from_table(forms.A_FORM)
-    recurrence = 2 * r - (A * A * BiPoly.from_table(forms.R2_PREV_FORM)
-                          - 2 * BiPoly.from_table(forms.A_PREV_FORM) - 4)
+    a, r, b, c, s = (BiPoly(t[k]) for k in "arbcs")
+    A = BiPoly(forms.A_FORM)
+    recurrence = 2 * r - (A * A * BiPoly(forms.R2_PREV_FORM)
+                          - 2 * BiPoly(forms.A_PREV_FORM) - 4)
     return [reduce(diff)
             for diff in (*forms.triple_conditions(a, r, b, c, s), recurrence)]
 
