@@ -15,7 +15,7 @@ from .search import (SearchResult, SearchStats, brute_oracle, find_pairs,
                      kernel_loaded, search_triples)
 from .sequences import (ConicPoint, PellNumber, binet_exact, conic_point,
                         pell_P, seq_A, seq_R)
-from .symbolic import BiPoly, NormalForm, prove_identities, reduce
+from .symbolic import BiPoly, prove_identities, reduce
 
 __version__ = "0.1.0"
 
@@ -29,6 +29,6 @@ __all__ = [
     "kernel_loaded", "search_triples",
     "ConicPoint", "PellNumber", "binet_exact", "conic_point",
     "pell_P", "seq_A", "seq_R",
-    "BiPoly", "NormalForm", "prove_identities", "reduce",
+    "BiPoly", "prove_identities", "reduce",
     "__version__",
 ]

@@ -5,8 +5,9 @@
  * census_chunk must return the same raw triples (in any order) and the same
  * counters as the pure path; the test suite enforces that equality.  Both
  * paths find the seeds of each pair's orbits by the same scan of
- * c0 = (s0^2-1)/a (see pell_orbit); the kernel differs only in visiting
- * the pairs of each r unsorted.
+ * c0 = (s0^2-1)/a (see pell_orbit).  The kernel differs in two ways that
+ * change neither: it visits the pairs of each r unsorted, and it follows
+ * the seed c0 = 0 without a square test (see below).
  *
  * Pair window: the pairs of r are the divisors a of n = r^2-1 with
  * 2 <= a < b = n/a <= bound.  a < n/a is a*a < n, that is a < r (r^2 > n >

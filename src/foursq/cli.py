@@ -187,7 +187,7 @@ def _cmd_prove(args) -> int:
             note = f"  [{it.note}]" if it.note else ""
             print(f"{it.name:5} {status:7} {it.description}{note}")
             if it.residual is not None:
-                print(f"      residual: {it.residual.lift()!r}")
+                print(f"      residual: {it.residual!r}")
         print(f"core identities: {report.core_passed}/{report.core_total} "
               f"pass")
     return 0 if report.core_ok else 1

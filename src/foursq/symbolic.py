@@ -3,9 +3,10 @@ conic relation x^2 - 4xy + y^2 = 1.
 
 The relation is monic of degree 2 in x, so the quotient ring is a free
 rank-2 module over Q[y] with basis {1, x}: every polynomial has a unique
-normal form c0(y) + c1(y)*x, and two polynomials agree on the conic iff
-their normal forms are equal.  `prove_identities` uses this to machine-check
-the entire identity chain behind the main family, ending in abc+1 = s^2.
+normal form c0(y) + c1(y)*x, a `BiPoly` of x-degree at most 1, and two
+polynomials agree on the conic iff their normal forms are equal.
+`prove_identities` uses this to machine-check the entire identity chain
+behind the main family, ending in abc+1 = s^2.
 """
 
 from dataclasses import dataclass
@@ -24,7 +25,8 @@ class BiPoly:
     Terms map (x_degree, y_degree) to a nonzero Fraction; the zero polynomial
     has no terms, which makes the representation canonical.  `__init__` is
     the one place that converts coefficients and drops zeros: every operator
-    builds a plain dict and hands it over.
+    builds a plain dict and hands it over.  Operator results already hold
+    Fractions, so only other coefficients, such as ints, are converted.
     """
 
     __slots__ = ("terms",)
@@ -33,27 +35,17 @@ class BiPoly:
         self.terms: Dict[Monomial, Fraction] = {}
         if terms:
             for mono, coef in terms.items():
-                coef = Fraction(coef)
+                if not isinstance(coef, Fraction):
+                    coef = Fraction(coef)
                 if coef:
                     self.terms[mono] = coef
 
     @classmethod
-    def x(cls) -> "BiPoly":
-        return cls({(1, 0): Fraction(1)})
-
-    @classmethod
-    def y(cls) -> "BiPoly":
-        return cls({(0, 1): Fraction(1)})
-
-    @classmethod
     def const(cls, v) -> "BiPoly":
-        return cls({(0, 0): Fraction(v)})
+        return cls({(0, 0): v})
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def total_degree(self) -> int:
-        return max((i + j for (i, j) in self.terms), default=0)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, BiPoly):
@@ -113,31 +105,13 @@ class BiPoly:
         return "BiPoly(" + " + ".join(parts) + ")"
 
 
-_YPoly = Tuple[Tuple[int, Fraction], ...]  # sorted ((y_degree, coeff), ...)
-
-
-@dataclass(frozen=True)
-class NormalForm:
-    """Canonical residue c0(y) + c1(y)*x modulo the conic relation."""
-
-    c0: _YPoly
-    c1: _YPoly
-
-    def is_zero(self) -> bool:
-        return not self.c0 and not self.c1
-
-    def lift(self) -> BiPoly:
-        terms = {(0, j): c for j, c in self.c0}
-        terms.update({(1, j): c for j, c in self.c1})
-        return BiPoly(terms)
-
-
-def reduce(p: BiPoly) -> NormalForm:
+def reduce(p: BiPoly) -> BiPoly:
     """Rewrite x^2 -> 4xy - y^2 + 1 until the x-degree is at most 1.
 
     Equivalent to division by x^2 - 4y*x + (y^2 - 1), monic in x, so the
-    result is the unique representative in the quotient and `reduce` is a
-    ring homomorphism onto it.
+    result is the unique representative in the quotient, the normal form
+    c0(y) + c1(y)*x as a `BiPoly` whose x^0 and x^1 terms are c0 and c1,
+    and `reduce` is a ring homomorphism onto it.
     """
     max_i = max((i for (i, _) in p.terms), default=0)
     cols: List[Dict[int, Fraction]] = [{} for _ in range(max_i + 1)]
@@ -150,10 +124,8 @@ def reduce(p: BiPoly) -> NormalForm:
             down2[j + 2] = down2.get(j + 2, 0) - c
             down2[j] = down2.get(j, 0) + c
     # BiPoly drops the zero coefficients, which makes the residue canonical
-    low = sorted(BiPoly({(i, j): c for i, col in enumerate(cols[:2])
-                         for j, c in col.items()}).terms.items())
-    return NormalForm(tuple((j, c) for (i, j), c in low if i == 0),
-                      tuple((j, c) for (i, j), c in low if i == 1))
+    return BiPoly({(i, j): c for i, col in enumerate(cols[:2])
+                   for j, c in col.items()})
 
 
 @dataclass(frozen=True)
@@ -161,7 +133,7 @@ class IdentityResult:
     name: str
     description: str
     passed: bool
-    residual: Optional[NormalForm]  # set on failure for diagnosis
+    residual: Optional[BiPoly]  # normal form, set on failure for diagnosis
     note: str = ""
 
 
@@ -196,7 +168,8 @@ _CORE_ITEMS = frozenset(f"I{k}" for k in range(1, 9))
 
 def _build_polys(table_overrides: Optional[dict] = None) -> dict:
     """The transcribed forms as BiPolys, a..s from the main family's row;
-    overrides support mutation testing."""
+    overrides support mutation testing and must name one of these tables,
+    so that a misspelt name cannot leave the table it meant untested."""
     src = {
         **dict(zip("arbcs", forms.FAMILIES["main"])),
         "conic": forms.CONIC_FORM, "A": forms.A_FORM,
@@ -207,6 +180,9 @@ def _build_polys(table_overrides: Optional[dict] = None) -> dict:
         "abc_f2": forms.ABC_FACTORS[2], "abc_f3": forms.ABC_FACTORS[3],
     }
     if table_overrides:
+        for name in table_overrides:
+            if name not in src:
+                raise ValueError(f"no coefficient table named {name!r}")
         src.update(table_overrides)
     return {k: BiPoly(t) for k, t in src.items()}
 
@@ -223,7 +199,8 @@ def prove_identities(table_overrides: Optional[dict] = None) -> IdentityReport:
     linear-form expression.
 
     `table_overrides` replaces named coefficient tables (see `_build_polys`),
-    used to demonstrate that single-coefficient perturbations are caught.
+    used to demonstrate that single-coefficient perturbations are caught; a
+    name that is not one of them raises ValueError.
     """
     P = _build_polys(table_overrides)
     a, r, b, c, s = (P[k] for k in "arbcs")

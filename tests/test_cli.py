@@ -222,15 +222,22 @@ def test_prove_table(capsys):
 
 def test_prove_table_counts_core_identities_from_the_report(capsys,
                                                             monkeypatch):
-    broken = dict(forms.ROOT_R)
-    broken[(3, 0)] += Fraction(1)
-    report = symbolic.prove_identities({"r": broken})
+    # r's cubic coefficient +1, s's leading coefficient +1/3 and 1 written
+    # as 2; the digest pins the residual lines and was recorded while a
+    # residual was a pair of y-coefficient tuples, printed via a BiPoly
+    r, s = dict(forms.ROOT_R), dict(forms.ROOT_S)
+    r[(3, 0)] += Fraction(1)
+    s[(5, 0)] += Fraction(1, 3)
+    report = symbolic.prove_identities({"r": r, "s": s, "conic": {(0, 0): 2}})
     monkeypatch.setattr(cli, "prove_identities", lambda: report)
     code, out, _ = run_cli(capsys, "prove")
     assert code == 1
     assert 0 < report.core_passed < 8
     assert out.splitlines()[-1] == (
         f"core identities: {report.core_passed}/8 pass")
+    assert out.count("residual: BiPoly(") == 7
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "7373d819dff32db471826080dc3000f38eb015a527317a2ad8209d9a50d77517")
 
 
 def test_prove_json(capsys):

@@ -10,8 +10,8 @@ from foursq import conic_point, prove_identities
 from foursq import forms
 from foursq.symbolic import BiPoly, reduce
 
-X = BiPoly.x()
-Y = BiPoly.y()
+X = BiPoly({(1, 0): 1})
+Y = BiPoly({(0, 1): 1})
 ONE = BiPoly.const(1)
 HOM = BiPoly(forms.CONIC_FORM)
 RELATION = HOM - ONE
@@ -62,7 +62,7 @@ def _multinomial_expand(power):
 def test_pow_hom_5_against_multinomial_oracle():
     h5 = HOM ** 5
     assert h5 == _multinomial_expand(5)
-    assert h5.total_degree() == 10
+    assert max(i + j for i, j in h5.terms) == 10
     assert h5.terms[(10, 0)] == 1
     # every degree-10 monomial survives: no cross-cancellation occurs
     assert len(h5.terms) == 11
@@ -74,9 +74,8 @@ def test_reduce_relation_to_zero():
 
 def test_reduce_x_squared():
     nf = reduce(X * X)
-    assert dict(nf.c0) == {0: 1, 2: -1}  # 1 - y^2
-    assert dict(nf.c1) == {1: 4}         # 4y
-    assert nf.lift().evaluate(4, 1) == 16
+    assert nf == BiPoly({(0, 0): 1, (0, 2): -1, (1, 1): 4})  # 1 - y^2 + 4xy
+    assert nf.evaluate(4, 1) == 16
 
 
 def test_reduce_a_minus_A_squared_plus_four():
@@ -110,7 +109,8 @@ def test_reduce_is_idempotent_randomized():
     for _ in range(200):
         p = _random_poly(rng, max_deg=5)
         nf = reduce(p)
-        assert reduce(nf.lift()) == nf
+        assert all(i <= 1 for i, _ in nf.terms)  # c0(y) + c1(y)*x
+        assert reduce(nf) == nf
 
 
 def test_reduce_is_ring_homomorphism_randomized():
@@ -118,8 +118,8 @@ def test_reduce_is_ring_homomorphism_randomized():
     for _ in range(200):
         p = _random_poly(rng)
         q = _random_poly(rng)
-        assert reduce(p * q) == reduce(reduce(p).lift() * reduce(q).lift())
-        assert reduce(p + q) == reduce(reduce(p).lift() + reduce(q).lift())
+        assert reduce(p * q) == reduce(reduce(p) * reduce(q))
+        assert reduce(p + q) == reduce(reduce(p) + reduce(q))
 
 
 @given(st.dictionaries(
@@ -129,9 +129,10 @@ def test_reduce_is_ring_homomorphism_randomized():
 def test_reduce_agrees_on_conic_points(terms):
     p = BiPoly({m: Fraction(c) for m, c in terms.items()})
     nf = reduce(p)
+    assert all(i <= 1 for i, _ in nf.terms)
     for n in range(-6, 7):
         pt = conic_point(n)
-        assert p.evaluate(pt.x, pt.y) == nf.lift().evaluate(pt.x, pt.y)
+        assert p.evaluate(pt.x, pt.y) == nf.evaluate(pt.x, pt.y)
 
 
 def test_transcribed_forms_reduce_consistently_on_conic_points():
@@ -142,7 +143,7 @@ def test_transcribed_forms_reduce_consistently_on_conic_points():
         nf = reduce(p)
         for n in range(-6, 7):
             pt = conic_point(n)
-            assert p.evaluate(pt.x, pt.y) == nf.lift().evaluate(pt.x, pt.y)
+            assert p.evaluate(pt.x, pt.y) == nf.evaluate(pt.x, pt.y)
 
 
 def test_prove_identities_all_pass():
@@ -174,7 +175,7 @@ def test_identity_probe_notes(conic, passed, note):
     assert (i9.passed, i9.note) == (passed, note)
     assert (i9.residual is None) == passed
     if not passed:
-        assert i9.residual.lift() == BiPoly.const(31)
+        assert i9.residual == BiPoly.const(31)
 
 
 def test_companion_root_numeric_identity():
@@ -209,6 +210,13 @@ def test_single_coefficient_mutations_are_caught(key, base, mono):
     assert (mutated.core_passed, mutated.core_total) == (8 - len(failed), 8)
     assert all(it.residual is not None and not it.residual.is_zero()
                for it in failed)
+
+
+def test_misspelt_table_name_is_rejected():
+    # "R" is not a table: unchecked, the mutated r would never be read
+    broken_r = _perturb(forms.ROOT_R, (3, 0), 1)
+    with pytest.raises(ValueError, match="'R'"):
+        prove_identities({"R": broken_r})
 
 
 def test_mutation_off_by_one_in_r_cubic_fails_I1():
