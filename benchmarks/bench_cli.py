@@ -5,7 +5,10 @@ Each command runs several times in one process with stdout sent to a sink
 that keeps only its sha256 and size.  Every run of a command must give the
 same exit code and stdout digest before its times are reported.  `seq P 0 0`
 does almost no work of its own, so its median over 200 calls is the fixed
-cost of one main() call; the other commands run 5 times each.
+cost of one main() call.  `gen 30 33 both` is a small-index `gen`, like
+the median operation of the perfbench `families` workload; it also runs
+200 times.
+The other commands run 5 times each.
 
     python benchmarks/bench_cli.py
 
@@ -42,6 +45,8 @@ def near_miss(n):
 # (label, argv, runs)
 COMMANDS = [
     ("seq P 0 0", ["seq", "P", "0", "0"], 200),
+    ("gen 30 33 both --format json",
+     ["gen", "30", "33", "both", "--format", "json"], 200),
     ("gen 0 1500 both --format csv",
      ["gen", "0", "1500", "both", "--format", "csv"], 5),
     ("gen 10000 10000 both --format json",

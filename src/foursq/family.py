@@ -15,6 +15,7 @@ c = (k+1)^2 - 1.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import forms
 from .certify import Certificate, DomainError, perfect_square_root
@@ -65,19 +66,39 @@ def _admissible(a: int, b: int, c: int) -> bool:
     return a > 1 and b > 1 and c > 1 and a != b and a != c and b != c
 
 
+# variant -> (its forms.FAMILIES row, that row's integral forms, their
+# highest x and y degrees); rebuilt when the row object changes
+_INTEGRAL_ROWS = {}
+
+
+def _integral_row(variant: str) -> tuple:
+    row = forms.FAMILIES[variant]
+    cached = _INTEGRAL_ROWS.get(variant)
+    if cached is None or cached[0] is not row:
+        integral = tuple(forms.integral_form(table) for table in row)
+        cached = _INTEGRAL_ROWS[variant] = (row, integral,
+                                            forms.degrees(*integral))
+    return cached[1:]
+
+
 def _construct(n: int, variant: str) -> TripleCandidate:
     """a, r, b, c, s from the `forms.FAMILIES` row of `variant` at
     conic_point(n), every invariant checked with `if` (not `assert`, so also
     under python -O)."""
     pt = conic_point(n)
-    values = [forms.evaluate(table, pt.x, pt.y)
-              for table in forms.FAMILIES[variant]]
-    for what, v in zip("arbcs", values):
-        if v.denominator != 1:
+    integral, (dx, dy) = _integral_row(variant)
+    xs, ys = forms.powers(pt.x, dx), forms.powers(pt.y, dy)
+    values = []
+    for what, (den, terms) in zip("arbcs", integral):
+        num = forms.integral_value(terms, xs, ys)
+        v, rem = divmod(num, den)
+        if rem:
+            value = Fraction(num, den)
             raise ConstructionError(
-                f"{variant} {what} evaluated to non-integer {v} at "
+                f"{variant} {what} evaluated to non-integer {value} at "
                 f"({pt.x}, {pt.y}); point is off the conic")
-    a, r, b, c, s = map(int, values)
+        values.append(v)
+    a, r, b, c, s = values
     s = abs(s)  # the quintic s forms go negative on the negative branch
     for k, diff in enumerate(forms.triple_conditions(a, r, b, c, s), 1):
         if diff:

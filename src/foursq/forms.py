@@ -7,6 +7,12 @@ the identities between them, so a transcription slip fails both routes.
 `FAMILIES` lists each family's row of tables and `triple_conditions` the five
 conditions every member meets.
 
+Tables are evaluated over the integers: `integral_form` scales a table by
+the common denominator of its coefficients once, and `integral_value` sums
+that form at a point from the power lists of x and y, which the tables of
+one family row share; the caller divides by the denominator once.
+`evaluate` does all three for one table.
+
 The parameter point (x, y) runs over integer solutions of x^2 - 4xy + y^2 = 1.
 """
 
@@ -102,9 +108,41 @@ def triple_conditions(a, r, b, c, s) -> tuple:
             a * b * c + 1 - s * s)
 
 
-def evaluate(table: dict, x: int, y: int) -> F:
-    """Exact value of a coefficient table at integer point (x, y), summed
-    over the integers times the table's common denominator."""
+def integral_form(table: dict) -> tuple:
+    """(den, ((i, j, integer coefficient), ...)): the table times the common
+    denominator den of its coefficients.  Its value at (x, y) is the integer
+    sum of coefficient * x^i * y^j over the terms, divided by den; the empty
+    table is (1, ())."""
     den = math.lcm(*(coef.denominator for coef in table.values()))
-    return F(sum(coef.numerator * (den // coef.denominator) * x ** i * y ** j
-                 for (i, j), coef in table.items()), den)
+    return den, tuple((i, j, coef.numerator * (den // coef.denominator))
+                      for (i, j), coef in table.items())
+
+
+def degrees(*integral_forms) -> tuple:
+    """The highest x and y degrees over the terms of some integral forms,
+    0 where there are none."""
+    terms = [term for _, form_terms in integral_forms for term in form_terms]
+    return (max((i for i, _, _ in terms), default=0),
+            max((j for _, j, _ in terms), default=0))
+
+
+def powers(v: int, degree: int) -> list:
+    """[1, v, v^2, ..., v^degree]."""
+    out = [1]
+    for _ in range(degree):
+        out.append(out[-1] * v)
+    return out
+
+
+def integral_value(terms: tuple, xs: list, ys: list) -> int:
+    """The sum of coefficient * x^i * y^j over the terms of an integral form,
+    from the power lists xs = powers(x, ...) and ys = powers(y, ...)."""
+    return sum(coef * xs[i] * ys[j] for i, j, coef in terms)
+
+
+def evaluate(table: dict, x: int, y: int) -> F:
+    """Exact value of a coefficient table at integer point (x, y): its
+    integral form summed over the integers, divided once by its den."""
+    form = integral_form(table)
+    dx, dy = degrees(form)
+    return F(integral_value(form[1], powers(x, dx), powers(y, dy)), form[0])

@@ -42,13 +42,17 @@ def conic_point(n: int) -> ConicPoint:
     return ConicPoint(w.u + 2 * w.v, w.v)
 
 
-# Each sequence as a linear form in the conic point of the same index.
-_TABLES = {"P": {(0, 1): 1}, "A": forms.A_FORM,
-           "R": {mono: coef / 2 for mono, coef in forms.R2_FORM.items()}}
+# Each sequence as a linear form in the conic point of the same index, in
+# integral form; the denominators divide the values on the conic, as
+# tests/test_forms.py proves.
+_FORMS = {name: forms.integral_form(table) for name, table in (
+    ("P", {(0, 1): 1}), ("A", forms.A_FORM),
+    ("R", {mono: coef / 2 for mono, coef in forms.R2_FORM.items()}))}
 
 
-def _value(name: str, pt: ConicPoint) -> int:
-    return int(forms.evaluate(_TABLES[name], pt.x, pt.y))
+def _value(form: tuple, x: int, y: int) -> int:
+    den, terms = form
+    return forms.integral_value(terms, (1, x), (1, y)) // den
 
 
 def pell_P(n: int) -> int:
@@ -58,26 +62,28 @@ def pell_P(n: int) -> int:
 
 def seq_A(n: int) -> int:
     """A(0)=1, A(1)=6, A(n+1) = 4A(n) - A(n-1)."""
-    return _value("A", conic_point(n))
+    pt = conic_point(n)
+    return _value(_FORMS["A"], pt.x, pt.y)
 
 
 def seq_R(n: int) -> int:
     """R(0)=2, R(1)=8, R(n) = 4R(n-1) - R(n-2) + 1."""
-    return _value("R", conic_point(n))
+    pt = conic_point(n)
+    return _value(_FORMS["R"], pt.x, pt.y)
 
 
 def sequence_values(name: str, lo: int, hi: int) -> list:
     """Values of sequence `name` over lo..hi inclusive: the point of lo, then
     one forward conic step per index."""
-    if name not in _TABLES:
+    if name not in _FORMS:
         raise ValueError(f"unknown sequence {name!r}; expected one of P, A, R")
     if lo > hi:
         raise ValueError(f"empty index range {lo}..{hi}")
-    table, pt = _TABLES[name], conic_point(lo)
+    form, pt = _FORMS[name], conic_point(lo)
     x, y = pt.x, pt.y
     out = []
     for _ in range(lo, hi + 1):
-        out.append(int(forms.evaluate(table, x, y)))
+        out.append(_value(form, x, y))
         x, y = 4 * x - y, x
     return out
 

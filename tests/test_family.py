@@ -1,5 +1,7 @@
+import doctest
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -140,6 +142,19 @@ def test_non_integer_polynomial_value_raises(monkeypatch):
     monkeypatch.setattr(family, "conic_point", lambda n: pt)
     with pytest.raises(ConstructionError, match="non-integer"):
         make_main(0)
+
+
+def test_readme_python_examples():
+    # each ```python block of the README, fences stripped, run as a doctest
+    text = (REPO / "README.md").read_text()
+    blocks = list(re.finditer(r"^```python\n(.*?)^```$", text, re.M | re.S))
+    assert blocks
+    for block in blocks:
+        lineno = text.count("\n", 0, block.start(1))
+        test = doctest.DocTestParser().get_doctest(
+            block.group(1), {}, "README.md", str(REPO / "README.md"), lineno)
+        result = doctest.DocTestRunner().run(test)
+        assert result.attempted and not result.failed, block.group(1)
 
 
 @pytest.mark.parametrize("module", [foursq, family],
