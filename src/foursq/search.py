@@ -355,12 +355,11 @@ def search_triples(bound: int, jobs: int = 1,
         raw.extend(found)
         pairs += p
         candidates += cand
-    raw.sort(key=lambda t: (t[2], t[1], t[0]))
-    triples: List[Triple] = []
-    for a, b, c, r_ab, r_ac, r_bc, r_abc in raw:
-        if triples and triples[-1][:3] == (a, b, c):
-            continue
-        triples.append((a, b, c, Certificate(r_ab, r_ac, r_bc, r_abc)))
+    # a pair {a, a+2} reaches the same orbit from both of its first seeds,
+    # so a triple can be found twice, with the same roots each time
+    merged = sorted(set(raw), key=lambda t: (t[2], t[1], t[0]))
+    triples: List[Triple] = [(a, b, c, Certificate(*roots))
+                             for a, b, c, *roots in merged]
     elapsed = time.monotonic() - start
     return SearchResult(bound, triples, SearchStats(pairs, candidates, elapsed))
 

@@ -14,7 +14,6 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from . import forms
-from .sequences import conic_point
 
 Monomial = Tuple[int, int]  # (x_degree, y_degree)
 
@@ -166,84 +165,51 @@ class IdentityReport:
 _CORE_ITEMS = frozenset(f"I{k}" for k in range(1, 9))
 
 
-def _build_polys(table_overrides: Optional[dict] = None) -> dict:
-    """The transcribed forms as BiPolys, a..s from the main family's row;
-    overrides support mutation testing and must name one of these tables,
-    so that a misspelt name cannot leave the table it meant untested."""
-    src = {
-        **dict(zip("arbcs", forms.FAMILIES["main"])),
-        "conic": forms.CONIC_FORM, "A": forms.A_FORM,
-        "A_next": forms.A_NEXT_FORM, "A_prev": forms.A_PREV_FORM,
-        "R2": forms.R2_FORM, "R2_prev": forms.R2_PREV_FORM,
-        "comp_r": forms.COMP_R,
-        "abc_f0": forms.ABC_FACTORS[0], "abc_f1": forms.ABC_FACTORS[1],
-        "abc_f2": forms.ABC_FACTORS[2], "abc_f3": forms.ABC_FACTORS[3],
-    }
-    if table_overrides:
-        for name in table_overrides:
-            if name not in src:
-                raise ValueError(f"no coefficient table named {name!r}")
-        src.update(table_overrides)
-    return {k: BiPoly(t) for k, t in src.items()}
-
-
-def prove_identities(table_overrides: Optional[dict] = None) -> IdentityReport:
+def prove_identities() -> IdentityReport:
     """Machine-check the identity chain for the main family.
 
     I1-I8 must reduce to zero in the quotient ring; together they prove that
     every conic point yields a, b, c with ab+1, ac+1, bc+1 and abc+1 all
     perfect squares.  I1-I4 and I7 are `forms.triple_conditions` of the
     main row of `forms.FAMILIES`.  I9 probes whether the homogenized
-    abc+1 = s^2 identity already holds before reduction; I10 is a numeric
-    consistency check of the companion root table `forms.COMP_R` against its
-    linear-form expression.
+    abc+1 = s^2 identity already holds before reduction; I10 reduces the
+    companion root table `forms.COMP_R` against its linear-form expression.
 
-    `table_overrides` replaces named coefficient tables (see `_build_polys`),
-    used to demonstrate that single-coefficient perturbations are caught; a
-    name that is not one of them raises ValueError.
+    Every table is read from `forms` when the call runs.
     """
-    P = _build_polys(table_overrides)
-    a, r, b, c, s = (P[k] for k in "arbcs")
+    a, r, b, c, s = map(BiPoly, forms.FAMILIES["main"])
+    A, R2, A_next, conic, R2_prev, A_prev, comp_r = map(BiPoly, (
+        forms.A_FORM, forms.R2_FORM, forms.A_NEXT_FORM, forms.CONIC_FORM,
+        forms.R2_PREV_FORM, forms.A_PREV_FORM, forms.COMP_R))
     ab1, c_sum, ac1, bc1, abc1 = forms.triple_conditions(a, r, b, c, s)
-    abc_quarter = P["abc_f0"] * P["abc_f1"] * P["abc_f2"] * P["abc_f3"]
-    abc_factored = forms.ABC_SCALE * abc_quarter
+    f0, f1, f2, f3 = map(BiPoly, forms.ABC_FACTORS)
+    abc_factored = forms.ABC_SCALE * (f0 * f1 * f2 * f3)
 
     checks = [
         ("I1", "a*b + 1 = r^2", ab1),
         ("I2", "a*c + 1 = (a+r)^2", ac1),
         ("I3", "b*c + 1 = (b+r)^2", bc1),
         ("I4", "c = a + b + 2r", c_sum),
-        ("I5", "a = A^2 + 4", a - P["A"] * P["A"] - 4),
+        ("I5", "a = A^2 + 4", a - A * A - 4),
         ("I6", "2r = A^2*(2R) + 2*A_next - 4",
-         2 * r - (P["A"] * P["A"] * P["R2"] + 2 * P["A_next"] - 4)),
+         2 * r - (A * A * R2 + 2 * A_next - 4)),
         ("I7", "a*b*c + 1 = s^2", abc1),
         ("I8", "a*b*c = (1/4)(3y+8x)*a*cubic*quartic", a * b * c - abc_factored),
+        # I9: 1 written as conic^5; every factor is homogeneous of matching
+        # degree, so it may vanish identically.
+        ("I9", "homogenized abc+1 = s^2, pre-reduction",
+         abc_factored + conic ** 5 - s * s),
+        ("I10", "2*r_companion = A^2*(2R_prev) - 2*A_prev - 4",
+         A * A * R2_prev - 2 * A_prev - 4 - 2 * comp_r),
     ]
 
     items = []
     for name, desc, diff in checks:
         nf = reduce(diff)
+        note = ""
+        if name == "I9":
+            note = ("holds as an exact polynomial identity" if diff.is_zero()
+                    else "holds only after reduction" if nf.is_zero() else "")
         items.append(IdentityResult(name, desc, nf.is_zero(),
-                                    None if nf.is_zero() else nf))
-
-    # I9: same combination with 1 written as conic^5; every factor is
-    # homogeneous of matching degree, so it may vanish identically.
-    probe = abc_factored + P["conic"] ** 5 - s * s
-    nf = reduce(probe)
-    items.append(IdentityResult(
-        "I9", "homogenized abc+1 = s^2, pre-reduction", nf.is_zero(),
-        None if nf.is_zero() else nf,
-        note=("holds as an exact polynomial identity" if probe.is_zero()
-              else "holds only after reduction" if nf.is_zero() else "")))
-
-    # I10: companion root, numeric agreement only (no ring claim is made).
-    gap = (P["A"] * P["A"] * P["R2_prev"] - 2 * P["A_prev"] - 4
-           - 2 * P["comp_r"])
-    mismatches = [n for n, pt in enumerate(map(conic_point, range(7)))
-                  if gap.evaluate(pt.x, pt.y)]
-    items.append(IdentityResult(
-        "I10", "2*r_companion = A^2*(2R_prev) - 2*A_prev - 4 at n=0..6",
-        not mismatches, None,
-        note=f"mismatch at n={mismatches}" if mismatches else "numeric check"))
-
+                                    None if nf.is_zero() else nf, note))
     return IdentityReport(tuple(items))

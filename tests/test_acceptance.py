@@ -165,7 +165,10 @@ def test_criterion_7_mutation_sensitivity():
     for key, table, mono in mutations:
         perturbed = dict(table)
         perturbed[mono] = perturbed.get(mono, Fraction(0)) + 1
-        report = prove_identities({key: perturbed})
+        row = dict(zip("arbcs", forms.FAMILIES["main"]), **{key: perturbed})
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setitem(forms.FAMILIES, "main", tuple(row.values()))
+            report = prove_identities()
         if not report.core_ok:
             caught += 1
     _report("C7", caught == len(mutations),

@@ -223,13 +223,15 @@ def test_prove_table(capsys):
 def test_prove_table_counts_core_identities_from_the_report(capsys,
                                                             monkeypatch):
     # r's cubic coefficient +1, s's leading coefficient +1/3 and 1 written
-    # as 2; the digest pins the residual lines and was recorded while a
-    # residual was a pair of y-coefficient tuples, printed via a BiPoly
-    r, s = dict(forms.ROOT_R), dict(forms.ROOT_S)
+    # as 2; the digest pins the residual lines, recorded while a residual
+    # was a pair of y-coefficient tuples printed via a BiPoly, and was
+    # re-pinned when I10 became a ring identity (only its row changed)
+    a, r, b, c, s = (dict(t) for t in forms.FAMILIES["main"])
     r[(3, 0)] += Fraction(1)
     s[(5, 0)] += Fraction(1, 3)
-    report = symbolic.prove_identities({"r": r, "s": s, "conic": {(0, 0): 2}})
-    monkeypatch.setattr(cli, "prove_identities", lambda: report)
+    monkeypatch.setitem(forms.FAMILIES, "main", (a, r, b, c, s))
+    monkeypatch.setattr(forms, "CONIC_FORM", {(0, 0): 2})
+    report = symbolic.prove_identities()
     code, out, _ = run_cli(capsys, "prove")
     assert code == 1
     assert 0 < report.core_passed < 8
@@ -237,7 +239,7 @@ def test_prove_table_counts_core_identities_from_the_report(capsys,
         f"core identities: {report.core_passed}/8 pass")
     assert out.count("residual: BiPoly(") == 7
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "7373d819dff32db471826080dc3000f38eb015a527317a2ad8209d9a50d77517")
+        "33d81caebe57d583ef26699f584a790ab245abce82e46610321c9b5b7ea05c71")
 
 
 def test_prove_json(capsys):
@@ -251,14 +253,15 @@ def test_prove_json(capsys):
 
 # sha256 of stdout for family and sequence commands, recorded from the
 # recurrence-built companion and sequences that the forms tables replaced,
-# and for prove, recorded before its identities read forms.triple_conditions.
+# and for prove, recorded before its identities read forms.triple_conditions
+# and re-pinned when I10 became a ring identity (only the I10 row changed).
 # The deep seq ranges, recorded while conic points were still reached by
 # stepping from index 0, pin the first point of a range far from 0.
 GOLDEN_STDOUT = [
     ("prove",
-     "803651fde4a52c280eba8a931f2801d5f95b509cf34f5c762353e0ccff62b987"),
+     "edb0b7bef29b8683cfae9d4e349e0c97ca227f13cd7cb836b87d935d5b4c57f8"),
     ("prove --format json",
-     "1ccbc4e492ef5ea257bb0111c2ac2011b6da1f519cc43c2ddbc70a14a32b2a72"),
+     "2b09043442298295509cfae29e0813fb695ab3b4c49ef843ebc22d5691365e77"),
     ("gen -60 60 both --format json",
      "1aefa92a2caff7595a2d90a46869d2075fbc219c29b9e30155b87da995be2305"),
     ("gen -60 60 both --format csv",

@@ -11,7 +11,7 @@ import pytest
 import foursq
 from foursq import (ConstructionError, NotDiophantinePair, degenerate_family,
                     family, make_companion, make_main, recurrence_r,
-                    regular_complete, seq_A, verify_four)
+                    regular_complete, seq_A, seq_R, verify_four)
 from foursq.certify import Certificate, DomainError
 from foursq.sequences import ConicPoint
 
@@ -66,6 +66,13 @@ def test_poly_r_matches_recurrence_presentation():
         assert make_main(n).r == recurrence_r(n)
 
 
+def test_companion_r_matches_sequence_presentation():
+    # numeric cross-check of prove's I10, which reduces the same identity
+    for n in range(-30, 31):
+        assert make_companion(n).r == (seq_A(n) ** 2 * seq_R(n - 1)
+                                       - seq_A(n - 1) - 2)
+
+
 @pytest.mark.parametrize("n,expected", [(0, 6), (2, 16483), (4, 45133154)])
 def test_recurrence_r_values(n, expected):
     assert recurrence_r(n) == expected
@@ -90,8 +97,10 @@ def test_make_companion_frozen_rows(n):
     assert t.variant == "companion"
 
 
-def test_companion_abc_square_over_observed_window():
-    # no algebraic guarantee exists; this documents the observed pattern
+def test_companion_abc_square_as_reduced_in_the_ring():
+    # abc+1 = s^2 holds on the whole conic: test_symbolic.py's
+    # test_companion_identities_reduce_to_zero reduces abc+1 - s^2 to zero
+    # in the quotient ring; these are its first admissible members
     for n in range(1, 7):
         t = make_companion(n)
         assert t.admissible

@@ -170,8 +170,9 @@ def test_identity_probe_holds_before_reduction():
     # 2 in place of 1 leaves abc+2^5-s^2 = 31 on the conic
     ({(0, 0): 2}, False, ""),
 ])
-def test_identity_probe_notes(conic, passed, note):
-    i9 = prove_identities({"conic": conic})["I9"]
+def test_identity_probe_notes(monkeypatch, conic, passed, note):
+    monkeypatch.setattr(forms, "CONIC_FORM", conic)
+    i9 = prove_identities()["I9"]
     assert (i9.passed, i9.note) == (passed, note)
     assert (i9.residual is None) == passed
     if not passed:
@@ -182,11 +183,13 @@ def test_companion_root_numeric_identity():
     assert prove_identities()["I10"].passed
 
 
-def test_companion_root_mutation_fails_I10():
-    mutated = prove_identities(
-        {"comp_r": _perturb(forms.COMP_R, (0, 0), Fraction(1))})
+def test_companion_root_mutation_fails_I10(monkeypatch):
+    # 1 more in COMP_R's constant term leaves the gap 2*r lower by 2
+    monkeypatch.setattr(forms, "COMP_R",
+                        _perturb(forms.COMP_R, (0, 0), Fraction(1)))
+    mutated = prove_identities()
     assert not mutated["I10"].passed
-    assert mutated["I10"].note == "mismatch at n=[0, 1, 2, 3, 4, 5, 6]"
+    assert mutated["I10"].residual == BiPoly.const(-2)
     assert mutated.core_ok  # I10 is outside the main family's chain
 
 
@@ -196,13 +199,20 @@ def _perturb(table, mono, delta):
     return new
 
 
+def _mutate_main(monkeypatch, key, table):
+    """Swap the main row's table `key` (one of a, r, b, c, s) for `table`."""
+    row = dict(zip("arbcs", forms.FAMILIES["main"]), **{key: table})
+    monkeypatch.setitem(forms.FAMILIES, "main", tuple(row.values()))
+
+
 @pytest.mark.parametrize("key,base,mono", [
     ("r", forms.ROOT_R, (3, 0)),   # cubic coefficient of the ab-root form
     ("b", forms.ELEM_B, (0, 4)),   # quartic tail of b
     ("s", forms.ROOT_S, (5, 0)),   # leading coefficient of the abc-root form
 ])
-def test_single_coefficient_mutations_are_caught(key, base, mono):
-    mutated = prove_identities({key: _perturb(base, mono, Fraction(1))})
+def test_single_coefficient_mutations_are_caught(monkeypatch, key, base, mono):
+    _mutate_main(monkeypatch, key, _perturb(base, mono, Fraction(1)))
+    mutated = prove_identities()
     assert not mutated.core_ok
     failed = [it for it in mutated.items
               if not it.passed and it.name in {f"I{k}" for k in range(1, 9)}]
@@ -212,15 +222,9 @@ def test_single_coefficient_mutations_are_caught(key, base, mono):
                for it in failed)
 
 
-def test_misspelt_table_name_is_rejected():
-    # "R" is not a table: unchecked, the mutated r would never be read
-    broken_r = _perturb(forms.ROOT_R, (3, 0), 1)
-    with pytest.raises(ValueError, match="'R'"):
-        prove_identities({"R": broken_r})
-
-
-def test_mutation_off_by_one_in_r_cubic_fails_I1():
-    mutated = prove_identities({"r": _perturb(forms.ROOT_R, (3, 0), 1)})
+def test_mutation_off_by_one_in_r_cubic_fails_I1(monkeypatch):
+    _mutate_main(monkeypatch, "r", _perturb(forms.ROOT_R, (3, 0), 1))
+    mutated = prove_identities()
     assert not mutated["I1"].passed
     assert mutated["I1"].residual is not None
 
