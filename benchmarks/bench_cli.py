@@ -10,6 +10,13 @@ the median operation of the perfbench `families` workload; it also runs
 200 times.
 The other commands run 5 times each.
 
+Those rows cannot see start-up, which is most of a command's wall time when
+it runs as a process of its own.  Two start-up rows time fresh processes:
+`python -c "import foursq.cli"`, each run right after a control process that
+imports only the stdlib modules foursq.cli used to import (the control of
+the perfbench setup_s metric), reported as both medians and the median of
+the per-pair ratio; and `python -m foursq seq P 0 0`, a whole command.
+
     python benchmarks/bench_cli.py
 
 With --json, it appends the run to a trajectory file with the environment
@@ -24,12 +31,14 @@ worst wall time of its runs.
 import argparse
 import contextlib
 import hashlib
+import os
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
 
-from bench_search import append_run, environment  # puts src/ on sys.path
+from bench_search import ROOT, append_run, environment  # puts src/ on sys.path
 
 from foursq import make_main
 from foursq.cli import main as cli_main
@@ -54,6 +63,13 @@ COMMANDS = [
     ("verify near-miss n=751", near_miss(751), 5),
     ("prove", ["prove"], 5),
 ]
+
+
+# Fresh-process start-up: the stdlib modules that foursq.cli imported while
+# its records were dataclasses, as the control of `import foursq.cli`.
+IMPORT_CONTROL = ("import argparse, csv, dataclasses, fractions, json, "
+                  "multiprocessing.pool, typing")
+STARTUP_RUNS = 40
 
 
 class HashSink:
@@ -85,14 +101,56 @@ def time_command(label, argv, runs):
             code = cli_main(argv)
             times.append(time.perf_counter() - start)
         outcomes.add((code, sink.sha256.hexdigest(), sink.size))
+    return command_row(label, outcomes, times)
+
+
+def command_row(label, outcomes, times):
+    """A command's row from the set of its runs' (exit code, stdout digest,
+    stdout size) and their wall times; every run must have the same
+    outcome."""
     if len(outcomes) != 1:
         raise SystemExit(f"{label}: runs differ: {sorted(outcomes)}")
     code, digest, size = outcomes.pop()
     return {"command": label, "exit": code, "stdout_sha256": digest,
-            "stdout_bytes": size, "runs": runs,
+            "stdout_bytes": size, "runs": len(times),
             "best_s": round(min(times), 6),
             "median_s": round(statistics.median(times), 6),
             "worst_s": round(max(times), 6)}
+
+
+def _run(argv):
+    """Wall time and result of a fresh Python process on the checkout."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *argv], capture_output=True,
+                          env=env)
+    return time.perf_counter() - start, proc
+
+
+def startup_rows(runs=STARTUP_RUNS):
+    """The two start-up rows: `import foursq.cli` against its control, and
+    a fresh `seq P 0 0`.  One untimed run of each fills the bytecode
+    cache first."""
+    control, probe = ["-c", IMPORT_CONTROL], ["-c", "import foursq.cli"]
+    command = ["-m", "foursq", "seq", "P", "0", "0"]
+    for argv in (control, probe, command):
+        _run(argv)
+    pairs = [(_run(control)[0], _run(probe)[0]) for _ in range(runs)]
+    import_row = {
+        "command": "fresh import foursq.cli", "runs": runs,
+        "control": IMPORT_CONTROL,
+        "control_median_s": round(statistics.median(c for c, _ in pairs), 6),
+        "median_s": round(statistics.median(p for _, p in pairs), 6),
+        "median_ratio": round(statistics.median(p / c for c, p in pairs), 4)}
+    outcomes, times = set(), []
+    for _ in range(runs):
+        wall, proc = _run(command)
+        times.append(wall)
+        outcomes.add((proc.returncode,
+                      hashlib.sha256(proc.stdout).hexdigest(),
+                      len(proc.stdout)))
+    return [import_row,
+            command_row("fresh python -m foursq seq P 0 0", outcomes, times)]
 
 
 def main(argv=None):
@@ -107,6 +165,15 @@ def main(argv=None):
         print(f"{label:36} exit {row['exit']}  {row['stdout_bytes']:>9} B  "
               f"best {row['best_s'] * 1e3:10.3f} ms  "
               f"median {row['median_s'] * 1e3:10.3f} ms  ({runs} runs)")
+    imports, seq = startup_rows()
+    rows += [imports, seq]
+    print(f"{'fresh import foursq.cli':36} median "
+          f"{imports['median_s'] * 1e3:.1f} ms, control "
+          f"{imports['control_median_s'] * 1e3:.1f} ms, median ratio "
+          f"{imports['median_ratio']:.3f}  ({imports['runs']} pairs)")
+    print(f"{'fresh python -m foursq seq P 0 0':36} exit {seq['exit']}  "
+          f"best {seq['best_s'] * 1e3:.1f} ms  median "
+          f"{seq['median_s'] * 1e3:.1f} ms  ({seq['runs']} runs)")
     if args.json is not None:
         append_run(args.json, {**environment(), "rows": rows})
     return 0

@@ -1,8 +1,7 @@
 """Exact perfect-square testing and four-condition verification with certificates."""
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
 class DomainError(ValueError):
@@ -25,8 +24,7 @@ def perfect_square_root(v: int) -> Optional[int]:
     return r if r * r == v else None
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """The four nonnegative roots witnessing ab+1, ac+1, bc+1, abc+1 squares."""
 
     r_ab: int
@@ -35,8 +33,7 @@ class Certificate:
     r_abc: int
 
 
-@dataclass(frozen=True)
-class VerifyOutcome:
+class VerifyOutcome(NamedTuple):
     ok: bool
     certificate: Optional[Certificate]
     first_failure: Optional[str]  # "ab" | "ac" | "bc" | "abc"

@@ -30,8 +30,10 @@ def _opt_str(v) -> Optional[str]:
 
 
 def _certificate_record(cert: Certificate) -> dict:
-    """The JSON form of a certificate; `_emit_json` renders it, so that CSV
-    and table rows, which never print it, do not pay for its strings."""
+    """The JSON form of a certificate, built only for JSON output (`_emit`
+    and the verify payload), so that CSV and table rows, which never print
+    it, do not pay for its strings.  A `Certificate` is a tuple, which
+    `json` would write as an array of numbers."""
     return {
         "ab": str(cert.r_ab), "ac": str(cert.r_ac),
         "bc": str(cert.r_bc), "abc": str(cert.r_abc),
@@ -41,7 +43,7 @@ def _certificate_record(cert: Certificate) -> dict:
 def _record(n: Optional[int], variant: str, a: int, r: int, b: int, c: int,
             s: int, admissible: bool, cert: Certificate) -> dict:
     """One gen or search row, in CSV_COLUMNS order plus its certificate
-    (left as a `Certificate` until JSON output renders it)."""
+    (left as a `Certificate` until `_emit` turns it into its JSON record)."""
     return {
         "n": _opt_str(n),
         "variant": variant,
@@ -57,7 +59,7 @@ def _record(n: Optional[int], variant: str, a: int, r: int, b: int, c: int,
 
 def _emit_json(command: str, payload: dict) -> None:
     doc = {"schema_version": SCHEMA_VERSION, "command": command, "payload": payload}
-    print(json.dumps(doc, indent=2, default=_certificate_record))
+    print(json.dumps(doc, indent=2))
 
 
 def _emit_csv(records: list) -> None:
@@ -80,8 +82,11 @@ def _emit_table(records: list) -> None:
 
 def _emit(fmt: str, command: str, payload: dict, records: list) -> None:
     """Print gen or search output: the whole JSON `payload`, or `records`
-    as CSV or as a table."""
+    as CSV or as a table.  `payload` holds the `records` dicts themselves,
+    so JSON output converts their certificates in place."""
     if fmt == "json":
+        for rec in records:
+            rec["certificate"] = _certificate_record(rec["certificate"])
         _emit_json(command, payload)
     elif fmt == "csv":
         _emit_csv(records)
@@ -118,7 +123,8 @@ def _cmd_verify(args) -> int:
         payload = {
             "a": str(a), "b": str(b), "c": str(c),
             "ok": outcome.ok,
-            "certificate": outcome.certificate,
+            "certificate": (_certificate_record(outcome.certificate)
+                            if outcome.ok else None),
             "first_failure": outcome.first_failure,
             "failing_value": _opt_str(outcome.failing_value),
         }

@@ -14,8 +14,8 @@ ab+1 = r^2 to c = a + b + 2r, and the degenerate a=1 family b = k^2-1,
 c = (k+1)^2 - 1.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import forms
 from .certify import Certificate, DomainError, perfect_square_root
@@ -36,8 +36,7 @@ class ConstructionError(RuntimeError):
     """A construction's internal consistency check failed."""
 
 
-@dataclass(frozen=True)
-class TripleCandidate:
+class TripleCandidate(NamedTuple):
     """One family member with all intermediate values.
 
     Inadmissible candidates (an entry <= 1 or a collision) are returned

@@ -21,9 +21,7 @@ import os
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
-from multiprocessing import Pool
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 from .certify import Certificate, DomainError, isqrt, perfect_square_root
 
@@ -42,18 +40,25 @@ PURE_MAX_BOUND = 10**7
 Triple = Tuple[int, int, int, Certificate]
 
 
-@dataclass(frozen=True)
-class SearchStats:
+class SearchStats(NamedTuple):
     pairs_scanned: int
     candidates_tested: int
     elapsed: float
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     bound: int
     triples: List[Triple]
     stats: SearchStats
+
+
+def Pool(processes: int):
+    """`multiprocessing.Pool(processes)`, imported on the first call: only a
+    pure census with jobs > 1 runs a process pool, so no other command pays
+    for importing multiprocessing.  A module attribute, so that tests and
+    tracing can replace it."""
+    import multiprocessing
+    return multiprocessing.Pool(processes)
 
 
 def kernel_loaded() -> bool:

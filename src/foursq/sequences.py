@@ -10,26 +10,38 @@ Values are kept signed; A(-1) = -2, A(-2) = -9, ... even though tables of
 the negative branch are often quoted unsigned.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import forms
 
 
-@dataclass(frozen=True)
-class ConicPoint:
-    """Integer point (x, y) with x^2 - 4xy + y^2 = 1, the family parameter."""
-
+class _Point(NamedTuple):
     x: int
     y: int
 
-    def __post_init__(self):
-        q = self.x * self.x - 4 * self.x * self.y + self.y * self.y
+
+class ConicPoint(_Point):
+    """Integer point (x, y) with x^2 - 4xy + y^2 = 1, the family parameter.
+
+    Construction checks the conic (a `NamedTuple` body may not define
+    `__new__`, hence the private base); `_make`, and so `_replace`, go
+    through the same check.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, x: int, y: int):
+        q = x * x - 4 * x * y + y * y
         if q != 1:
-            raise ValueError(f"({self.x}, {self.y}) is not on x^2-4xy+y^2=1 (got {q})")
+            raise ValueError(f"({x}, {y}) is not on x^2-4xy+y^2=1 (got {q})")
+        return super().__new__(cls, x, y)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class PellNumber:
+class PellNumber(NamedTuple):
     """u + v*sqrt(3); powers of 2+sqrt(3) have unit norm u^2 - 3v^2 = 1."""
 
     u: int

@@ -9,9 +9,8 @@ polynomials agree on the conic iff their normal forms are equal.
 behind the main family, ending in abc+1 = s^2.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from . import forms
 
@@ -127,8 +126,7 @@ def reduce(p: BiPoly) -> BiPoly:
                    for j, c in col.items()})
 
 
-@dataclass(frozen=True)
-class IdentityResult:
+class IdentityResult(NamedTuple):
     name: str
     description: str
     passed: bool
@@ -136,8 +134,10 @@ class IdentityResult:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
+    """The results of `prove_identities`; `report[name]` looks an item up
+    by its name, in place of the tuple's indexing by position."""
+
     items: Tuple[IdentityResult, ...]
 
     @property

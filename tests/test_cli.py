@@ -505,6 +505,17 @@ print(misses)
     assert proc.stdout == "[0, 1]\n"
 
 
+def test_importing_the_cli_skips_dataclasses_and_multiprocessing():
+    # start-up cost: the records are NamedTuples, and only a pure census
+    # with jobs > 1 imports multiprocessing (search.Pool)
+    probe = ("import sys, foursq.cli; print(sorted({'dataclasses', 'inspect',"
+             " 'multiprocessing'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=env)
+    assert proc.stdout == "[]\n", proc.stderr
+
+
 def test_help_follows_the_terminal_width_after_the_parser_is_built(
         capsys, monkeypatch):
     run_cli(capsys, "seq", "P", "0", "0")  # built at the default width

@@ -145,9 +145,7 @@ def test_readme_neither_family_triples():
 def test_non_integer_polynomial_value_raises(monkeypatch):
     # bypass the conic check to hit the integrality guard in the constructor;
     # both coordinates odd leaves the half-integer terms of r unpaired
-    pt = ConicPoint.__new__(ConicPoint)
-    object.__setattr__(pt, "x", 1)
-    object.__setattr__(pt, "y", 1)
+    pt = tuple.__new__(ConicPoint, (1, 1))
     monkeypatch.setattr(family, "conic_point", lambda n: pt)
     with pytest.raises(ConstructionError, match="non-integer"):
         make_main(0)

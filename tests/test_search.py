@@ -475,6 +475,48 @@ def test_census_contains_a_non_regular_triple():
     assert verify_four(a, b, c).ok
 
 
+def _partners(a, bound):
+    """{b: r} for a < b <= bound with ab+1 = r^2: r^2 == 1 (mod a), so
+    r = u + k*a for the u in [0, a) with u^2 == 1 (mod a)."""
+    out = {}
+    for u in range(a):
+        if (u * u - 1) % a:
+            continue
+        r = u
+        while (r * r - 1) // a <= bound:
+            b = (r * r - 1) // a
+            if b > a:
+                out[b] = r
+            r += a
+    return out
+
+
+def test_partner_scan_finds_every_pair(pairs_to_300):
+    assert {(a, b, r) for a in range(2, 301)
+            for b, r in _partners(a, 300).items()} == pairs_to_300
+
+
+def test_diophantine_triples_are_regular_or_c_exceeds_4ab():
+    # a < b < c with ab+1, ac+1, bc+1 squares has c = a + b + 2r or
+    # c > 4ab (A. Dujella, "Diophantine m-tuples"); checked by a scan that
+    # shares no code with the census
+    bound = 3000
+    regular = irregular = 0
+    for a in range(1, bound + 1):
+        partners = _partners(a, bound)
+        bs = sorted(partners)
+        for i, b in enumerate(bs):
+            for c in bs[i + 1:]:
+                if math.isqrt(b * c + 1) ** 2 != b * c + 1:
+                    continue
+                if c == a + b + 2 * partners[b]:
+                    regular += 1
+                else:
+                    assert c > 4 * a * b, (a, b, c)
+                    irregular += 1
+    assert regular > irregular > 0
+
+
 def test_brute_oracle_smallest_triple():
     assert [t[:3] for t in brute_oracle(24).triples] == [(5, 7, 24)]
     assert brute_oracle(3).triples == []
