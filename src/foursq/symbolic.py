@@ -9,6 +9,7 @@ polynomials agree on the conic iff their normal forms are equal.
 behind the main family, ending in abc+1 = s^2.
 """
 
+import math
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -18,61 +19,107 @@ Monomial = Tuple[int, int]  # (x_degree, y_degree)
 
 
 class BiPoly:
-    """Bivariate polynomial over exact rationals, stored sparsely.
+    """Bivariate polynomial over exact rationals, stored sparsely as integer
+    numerators over one common denominator.
 
-    Terms map (x_degree, y_degree) to a nonzero Fraction; the zero polynomial
-    has no terms, which makes the representation canonical.  `__init__` is
-    the one place that converts coefficients and drops zeros: every operator
-    builds a plain dict and hands it over.  Operator results already hold
-    Fractions, so only other coefficients, such as ints, are converted.
+    `num` maps (x_degree, y_degree) to a nonzero int and `den` is a positive
+    int; the polynomial is the sum of num[(i, j)] / den * x^i * y^j.  Every
+    BiPoly is in lowest terms (den and the numerators share no factor) and
+    has no zero terms, with den 1 for the zero polynomial, so two equal
+    polynomials have equal `num` and `den`.
+
+    A coefficient table of int or Fraction coefficients becomes a BiPoly
+    through `forms.integral_form`.  The ring operations work on the integer
+    numerators and end with one gcd, in `_canonical`; Fractions are made only
+    at the edges, by `terms`, `evaluate` and `repr`.  An int or Fraction on
+    either side of +, -, * or == is a constant polynomial.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("num", "den")
 
     def __init__(self, terms: Optional[Dict[Monomial, Fraction]] = None):
-        self.terms: Dict[Monomial, Fraction] = {}
-        if terms:
-            for mono, coef in terms.items():
-                if not isinstance(coef, Fraction):
-                    coef = Fraction(coef)
-                if coef:
-                    self.terms[mono] = coef
+        self.den, form = forms.integral_form(terms or {})
+        self.num: Dict[Monomial, int] = {(i, j): c for i, j, c in form if c}
+
+    @classmethod
+    def _canonical(cls, num: Dict[Monomial, int], den: int) -> "BiPoly":
+        """num / den in lowest terms, without its zero terms."""
+        num = {m: c for m, c in num.items() if c}
+        g = math.gcd(den, *num.values())
+        if g > 1:
+            num = {m: c // g for m, c in num.items()}
+            den //= g
+        p = cls.__new__(cls)
+        p.num, p.den = num, den
+        return p
 
     @classmethod
     def const(cls, v) -> "BiPoly":
-        return cls({(0, 0): v})
+        """The constant polynomial v, an int or a Fraction."""
+        return cls._canonical({(0, 0): v.numerator}, v.denominator)
+
+    @staticmethod
+    def _operand(other) -> Optional["BiPoly"]:
+        """other as a BiPoly, or None when it is not a BiPoly or a number."""
+        if isinstance(other, BiPoly):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return BiPoly.const(other)
+        return None
+
+    @property
+    def terms(self) -> Dict[Monomial, Fraction]:
+        """The coefficients as Fractions, keyed by (x_degree, y_degree)."""
+        return {m: Fraction(c, self.den) for m, c in self.num.items()}
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, BiPoly):
-            return self.terms == other.terms
-        return NotImplemented
+        other = BiPoly._operand(other)
+        if other is None:
+            return NotImplemented
+        return self.den == other.den and self.num == other.num
 
     def __add__(self, other) -> "BiPoly":
-        if not isinstance(other, BiPoly):
-            other = BiPoly.const(other)
-        out = dict(self.terms)
-        for mono, coef in other.terms.items():
-            out[mono] = out.get(mono, 0) + coef
-        return BiPoly(out)
+        other = BiPoly._operand(other)
+        if other is None:
+            return NotImplemented
+        den = math.lcm(self.den, other.den)
+        k1, k2 = den // self.den, den // other.den
+        out = {mono: k1 * c for mono, c in self.num.items()}
+        for mono, c in other.num.items():
+            out[mono] = out.get(mono, 0) + k2 * c
+        return BiPoly._canonical(out, den)
+
+    __radd__ = __add__
 
     def __neg__(self) -> "BiPoly":
-        return BiPoly({m: -c for m, c in self.terms.items()})
+        return BiPoly._canonical({m: -c for m, c in self.num.items()},
+                                 self.den)
 
     def __sub__(self, other) -> "BiPoly":
+        other = BiPoly._operand(other)
+        if other is None:
+            return NotImplemented
         return self + (-other)
 
+    def __rsub__(self, other) -> "BiPoly":
+        other = BiPoly._operand(other)
+        if other is None:
+            return NotImplemented
+        return other - self
+
     def __mul__(self, other) -> "BiPoly":
-        if not isinstance(other, BiPoly):
-            other = BiPoly.const(other)
-        out: Dict[Monomial, Fraction] = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
+        other = BiPoly._operand(other)
+        if other is None:
+            return NotImplemented
+        out: Dict[Monomial, int] = {}
+        for (i1, j1), c1 in self.num.items():
+            for (i2, j2), c2 in other.num.items():
                 mono = (i1 + i2, j1 + j2)
                 out[mono] = out.get(mono, 0) + c1 * c2
-        return BiPoly(out)
+        return BiPoly._canonical(out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -89,14 +136,20 @@ class BiPoly:
         return result
 
     def evaluate(self, x, y) -> Fraction:
-        return forms.evaluate(self.terms, x, y)
+        """The exact value at integer point (x, y): the numerators summed
+        over the integers, divided once by den."""
+        terms = tuple((i, j, c) for (i, j), c in self.num.items())
+        dx, dy = forms.degrees((self.den, terms))
+        return Fraction(forms.integral_value(terms, forms.powers(x, dx),
+                                             forms.powers(y, dy)), self.den)
 
     def __repr__(self) -> str:
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "BiPoly(0)"
         parts = []
-        for (i, j) in sorted(self.terms, key=lambda m: (-(m[0] + m[1]), -m[0])):
-            c = self.terms[(i, j)]
+        for (i, j) in sorted(terms, key=lambda m: (-(m[0] + m[1]), -m[0])):
+            c = terms[(i, j)]
             mono = "".join((f"x^{i}" if i > 1 else "x" * i,
                             f"y^{j}" if j > 1 else "y" * j))
             parts.append(f"{c}{'*' if mono else ''}{mono}")
@@ -111,19 +164,20 @@ def reduce(p: BiPoly) -> BiPoly:
     c0(y) + c1(y)*x as a `BiPoly` whose x^0 and x^1 terms are c0 and c1,
     and `reduce` is a ring homomorphism onto it.
     """
-    max_i = max((i for (i, _) in p.terms), default=0)
-    cols: List[Dict[int, Fraction]] = [{} for _ in range(max_i + 1)]
-    for (i, j), c in p.terms.items():
+    max_i = max((i for (i, _) in p.num), default=0)
+    cols: List[Dict[int, int]] = [{} for _ in range(max_i + 1)]
+    for (i, j), c in p.num.items():
         cols[i][j] = c
+    # the relation has integer coefficients, so the numerators stay integers
+    # over p's denominator
     for i in range(max_i, 1, -1):
         down1, down2 = cols[i - 1], cols[i - 2]
         for j, c in cols[i].items():
             down1[j + 1] = down1.get(j + 1, 0) + 4 * c
             down2[j + 2] = down2.get(j + 2, 0) - c
             down2[j] = down2.get(j, 0) + c
-    # BiPoly drops the zero coefficients, which makes the residue canonical
-    return BiPoly({(i, j): c for i, col in enumerate(cols[:2])
-                   for j, c in col.items()})
+    return BiPoly._canonical({(i, j): c for i, col in enumerate(cols[:2])
+                              for j, c in col.items()}, p.den)
 
 
 class IdentityResult(NamedTuple):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from foursq import conic_point, forms, sequences
+from foursq import BiPoly, conic_point, forms, sequences
 
 # every table of both family rows, and the sequences' P, A and R forms
 FAMILY_TABLES = {f"{variant}-{what}": table
@@ -74,3 +74,11 @@ def test_evaluate_equals_the_naive_rational_sum(name):
     table = EVALUATED_TABLES[name]
     for x, y in POINTS:
         assert forms.evaluate(table, x, y) == _naive(table, x, y), (x, y)
+
+
+@pytest.mark.parametrize("name", sorted(EVALUATED_TABLES))
+def test_bipoly_evaluate_equals_the_naive_rational_sum(name):
+    table = EVALUATED_TABLES[name]
+    poly = BiPoly(table)
+    for x, y in POINTS:
+        assert poly.evaluate(x, y) == _naive(table, x, y), (x, y)

@@ -39,6 +39,25 @@ def test_int_operands_are_constants():
     assert X - 2 == X - BiPoly.const(2)
 
 
+def test_number_plus_poly():
+    assert 1 + X == X + 1
+    assert Fraction(1, 2) + Y == Y + Fraction(1, 2)
+
+
+def test_number_minus_poly():
+    assert 1 - X == -(X - 1)
+    assert (3 - X).evaluate(5, 0) == -2
+
+
+def test_poly_equals_number():
+    assert BiPoly.const(3) == 3
+    assert 3 == BiPoly.const(3)
+    assert X * Fraction(2, 3) * 0 == 0
+    assert BiPoly.const(Fraction(1, 2)) == Fraction(1, 2)
+    assert BiPoly.const(3) != 4 and X != 1
+    assert (X == "x") is False
+
+
 def test_scale_and_rational_coefficients():
     half = X * Fraction(1, 2)
     assert half + half == X
@@ -257,3 +276,104 @@ def test_companion_identities_reduce_to_zero():
 def test_companion_single_coefficient_mutations_are_caught(key, base, mono):
     residues = _companion_residues({key: _perturb(base, mono, Fraction(1))})
     assert any(not nf.is_zero() for nf in residues)
+
+
+# A reference ring on dicts of Fractions, written apart from BiPoly: every
+# coefficient is a Fraction of its own, and the reduction rewrites one
+# monomial x^i y^j with i >= 2 at a time.
+
+def _ref_add(p, q):
+    out = dict(p)
+    for m, c in q.items():
+        out[m] = out.get(m, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def _ref_neg(p):
+    return {m: -c for m, c in p.items()}
+
+
+def _ref_mul(p, q):
+    out = {}
+    for (i1, j1), c1 in p.items():
+        for (i2, j2), c2 in q.items():
+            m = (i1 + i2, j1 + j2)
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def _ref_pow(p, k):
+    out = {(0, 0): Fraction(1)}
+    for _ in range(k):
+        out = _ref_mul(out, p)
+    return out
+
+
+def _ref_reduce(p):
+    out = dict(p)
+    while True:
+        high = [m for m in out if m[0] >= 2]
+        if not high:
+            return {m: c for m, c in out.items() if c}
+        i, j = high[0]
+        c = out.pop((i, j))
+        # x^i y^j = x^(i-2) y^j (4xy - y^2 + 1) on the conic
+        for m, k in (((i - 1, j + 1), 4), ((i - 2, j + 2), -1),
+                     ((i - 2, j), 1)):
+            out[m] = out.get(m, 0) + k * c
+
+
+def _ref_repr(p):
+    if not p:
+        return "BiPoly(0)"
+    parts = []
+    for i, j in sorted(p, key=lambda m: (-(m[0] + m[1]), -m[0])):
+        mono = (f"x^{i}" if i > 1 else "x" * i) + (f"y^{j}" if j > 1
+                                                    else "y" * j)
+        parts.append(f"{p[(i, j)]}{'*' if mono else ''}{mono}")
+    return "BiPoly(" + " + ".join(parts) + ")"
+
+
+def _assert_canonical(poly):
+    assert poly.den > 0
+    assert all(type(c) is int and c for c in poly.num.values())
+    assert math.gcd(poly.den, *poly.num.values()) == 1
+
+
+_MONO = st.tuples(st.integers(0, 4), st.integers(0, 3))
+_RATIONAL_TABLE = st.dictionaries(_MONO, st.builds(
+    Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 4, 6])),
+    max_size=5)
+_INTEGER_TABLE = st.dictionaries(_MONO, st.integers(-9, 9), max_size=4)
+
+
+@given(_RATIONAL_TABLE, _RATIONAL_TABLE, _INTEGER_TABLE, st.integers(0, 3))
+@settings(max_examples=300, deadline=None)
+def test_ring_matches_the_fraction_reference(p, q, r, k):
+    P, Q, R = BiPoly(p), BiPoly(q), BiPoly(r)
+    p = {m: c for m, c in p.items() if c}
+    q = {m: c for m, c in q.items() if c}
+    r = {m: Fraction(c) for m, c in r.items() if c}
+    den = math.lcm(*(c.denominator for c in p.values()))
+    relation = _ref_add(forms.CONIC_FORM, {(0, 0): Fraction(-1)})
+    cases = [
+        (P, p),
+        (P + Q, _ref_add(p, q)),
+        (P - Q, _ref_add(p, _ref_neg(q))),
+        (P * Q, _ref_mul(p, q)),
+        (P ** k, _ref_pow(p, k)),
+        (reduce(P), _ref_reduce(p)),
+        (reduce(P * Q), _ref_reduce(_ref_mul(p, q))),
+        # results that cancel to zero
+        (P - P, {}),
+        (P + (-P), {}),
+        (reduce(P * RELATION), _ref_reduce(_ref_mul(p, relation))),
+        # results whose denominator cancels to 1
+        (P + (R - P), _ref_add(p, _ref_add(r, _ref_neg(p)))),
+        (P * den, _ref_mul(p, {(0, 0): Fraction(den)})),
+    ]
+    for got, want in cases:
+        _assert_canonical(got)
+        assert got.terms == want
+        assert repr(got) == _ref_repr(want)
+    assert (P + (R - P)).den == (P * den).den == 1
