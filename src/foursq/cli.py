@@ -62,36 +62,29 @@ def _emit_json(command: str, payload: dict) -> None:
     print(json.dumps(doc, indent=2))
 
 
-def _emit_csv(records: list) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for rec in records:
-        writer.writerow(["" if rec[col] is None else rec[col]
-                         for col in CSV_COLUMNS])
-
-
-def _emit_table(records: list) -> None:
-    rows = [[("" if rec[col] is None else str(rec[col])) for col in CSV_COLUMNS]
-            for rec in records]
-    widths = [max(len(CSV_COLUMNS[i]), *(len(r[i]) for r in rows)) if rows
-              else len(CSV_COLUMNS[i]) for i in range(len(CSV_COLUMNS))]
-    print("  ".join(h.ljust(w) for h, w in zip(CSV_COLUMNS, widths)))
-    for r in rows:
+def _emit_table(rows: list) -> None:
+    widths = [max(map(len, col)) for col in zip(CSV_COLUMNS, *rows)]
+    for r in [CSV_COLUMNS, *rows]:
         print("  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip())
 
 
 def _emit(fmt: str, command: str, payload: dict, records: list) -> None:
     """Print gen or search output: the whole JSON `payload`, or `records`
-    as CSV or as a table.  `payload` holds the `records` dicts themselves,
-    so JSON output converts their certificates in place."""
+    as CSV or as a table of the same string rows.  `payload` holds the
+    `records` dicts themselves, so JSON output converts their certificates
+    in place."""
     if fmt == "json":
         for rec in records:
             rec["certificate"] = _certificate_record(rec["certificate"])
         _emit_json(command, payload)
-    elif fmt == "csv":
-        _emit_csv(records)
+        return
+    rows = [["" if rec[col] is None else str(rec[col]) for col in CSV_COLUMNS]
+            for rec in records]
+    if fmt == "csv":
+        csv.writer(sys.stdout, lineterminator="\n").writerows(
+            [CSV_COLUMNS, *rows])
     else:
-        _emit_table(records)
+        _emit_table(rows)
 
 
 def _check_index_range(start: int, stop: int) -> None:

@@ -136,12 +136,8 @@ class BiPoly:
         return result
 
     def evaluate(self, x, y) -> Fraction:
-        """The exact value at integer point (x, y): the numerators summed
-        over the integers, divided once by den."""
-        terms = tuple((i, j, c) for (i, j), c in self.num.items())
-        dx, dy = forms.degrees((self.den, terms))
-        return Fraction(forms.integral_value(terms, forms.powers(x, dx),
-                                             forms.powers(y, dy)), self.den)
+        """The exact value at integer point (x, y), by `forms.evaluate`."""
+        return forms.evaluate(self.terms, x, y)
 
     def __repr__(self) -> str:
         terms = self.terms

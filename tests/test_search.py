@@ -1,9 +1,11 @@
 import math
 import os
 import signal
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -313,6 +315,19 @@ def test_kernel_capacity_overflow_raises(build_kernel, cap, monkeypatch):
 
 def test_kernel_compiles_without_warnings(build_kernel, kernel):
     assert build_kernel("-Wall", "-Werror").MAX_BOUND == kernel.MAX_BOUND
+
+
+def test_failed_kernel_build_warns_and_succeeds(tmp_path):
+    # needs no compiler: the build must survive a missing one
+    proc = subprocess.run(
+        [sys.executable, "setup.py", "build_ext", "--build-lib", str(tmp_path),
+         "--build-temp", str(tmp_path / "build")],
+        cwd=Path(__file__).resolve().parent.parent,
+        env=dict(os.environ, CC="/nonexistent/cc"),
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert not list(tmp_path.glob("foursq/_kernel*"))
+    assert "kernel" in proc.stderr
 
 
 def test_kernel_releases_the_gil_while_it_scans(kernel):
