@@ -6,14 +6,16 @@
  * counters as the pure path; the test suite enforces that equality.  Both
  * paths find the seeds of each pair's orbits by the same scan of
  * c0 = (s0^2-1)/a (see pell_orbit).  The kernel differs in two ways that
- * change neither: it visits the pairs of each r unsorted, and it follows
- * the seed c0 = 0 without a square test (see below).
+ * change neither: it visits the pairs of each a root by root, not in
+ * ascending r, and it follows the seed c0 = 0 without a square test (see
+ * below).
  *
- * Pair window: the pairs of r are the divisors a of n = r^2-1 with
- * 2 <= a < b = n/a <= bound.  a < n/a is a*a < n, that is a < r (r^2 > n >
- * (r-1)^2), and n/a <= bound is a >= n/bound, so for an integer a it is
- * a >= a_lo = max(2, ceil(n/bound)).  The scan builds only the divisors
- * below r and divides n/a only for those at or above a_lo.
+ * Pairs by their smaller element a: b > a is r > a, and b <= bound is
+ * r <= s_max = isqrt(a*bound + 1); b = (r^2-1)/a is an integer exactly when
+ * r^2 == 1 (mod a).  So the pairs of a are r = u + k*a, k >= 1, r <= s_max,
+ * for the unit roots 1 <= u < a of a, built by CRT over the prime powers of
+ * a as in search.unit_square_roots.  A pair has b >= a+2 (a^2 < a(a+1)+1 <
+ * (a+1)^2), so a chunk's a-window lies in [2, bound-1).
  *
  * S >= 1 for every pair: ab+1 = r^2 rules out b = a+1, so b >= a+2, and
  * then r <= (a+b)/2, so a(b-a) - 2(r-1) >= (a-1)(b-a-2) >= 0.  Hence
@@ -31,25 +33,28 @@
  * MAX_BOUND is set here only: the module exports it, and
  * search.census_path sends larger bounds to the pure path.
  *
- * Ranges for bound <= MAX_BOUND: r < b <= 1.5e6 and s_max <= 1.5e6, so
- * ab < r^2 <= 2.25e12 and abc+1 < bound^3 < 2^63.  With r >= 3 the seed
- * scan's a*c0 + 1 <= S^2 <= a(b-a)/4 <= b^2/16 < 1.5e11 and
- * b*c0 + 1 <= b(b-a)/(2(r-1)) + 1 <= b^2/4 + 1 < 5.7e11.  The orbit iterate
- * (t, s) is signed (t starts at -t0 on one side).  An iterate with
- * s <= s_max has |t| < s * sqrt(b/a), since a*t^2 = b*s^2 - (b-a); so the
- * one step taken past s_max gives s' = a*t + r*s < 2*r*s_max and
+ * Ranges for bound <= MAX_BOUND: a < bound <= 1.5e6.  The CRT step of
+ * unit_roots multiplies two residues below a prime power p^e <= a, so its
+ * products stay below a^2 < 2.25e12, and a root it builds, res + M*t with
+ * res < M and t < p^e, is below M*p^e <= a.  r <= s_max <= bound, so
+ * r*r - 1 < 2.25e12, s_max's a*bound + 1 < 2.25e12, and b = (r^2-1)/a <=
+ * bound.  With r >= 3 the seed scan's a*c0 + 1 <= S^2 <= a(b-a)/4 <= b^2/16
+ * < 1.5e11 and b*c0 + 1 <= b(b-a)/(2(r-1)) + 1 <= b^2/4 + 1 < 5.7e11.  The
+ * orbit iterate (t, s) is signed (t starts at -t0 on one side).  An iterate
+ * with s <= s_max has |t| < s * sqrt(b/a), since a*t^2 = b*s^2 - (b-a); so
+ * the one step taken past s_max gives s' = a*t + r*s < 2*r*s_max and
  * t' = r*t + b*s < (2*b + 1)*s_max, both below about 4.5e12, far under
  * 2^63, and a candidate's t*t = bc+1 <= bound^2 + 1.  Every isqrt64
- * argument is below 2^63, so it converts through int64_t: r_max's
- * bound*(bound-1) + 1 and s_max's a*bound + 1 are below 2.25e12, the seed
- * bound a(b-a)/(2(r-1)) <= b^2/16 is below 1.5e11, and the square tests take
- * a*c0 + 1 < 1.5e11, b*c0 + 1 < 5.7e11 and abc+1 < 3.4e18.
+ * argument is below 2^63, so it converts through int64_t: s_max's
+ * a*bound + 1 is below 2.25e12, the seed bound a(b-a)/(2(r-1)) <= b^2/16 is
+ * below 1.5e11, and the square tests take a*c0 + 1 < 1.5e11,
+ * b*c0 + 1 < 5.7e11 and abc+1 < bound^3 < 3.4e18.
  *
  * Threads: census_chunk releases the GIL for the sieve and the whole scan,
  * and takes it back only to append a found triple (rare) and for the
- * signal check every 4096 r.  The kernel is reentrant: it has no
- * module-level state, and each call owns its sieve, divisor buffer and
- * result list.  So census_chunk calls on several threads run in parallel
+ * signal check every 4096 values of a.  The kernel is reentrant: it has no
+ * module-level state, and each call owns its sieve and result list.  So
+ * census_chunk calls on several threads run in parallel
  * (search.search_triples with jobs > 1).
  *
  * Build: python setup.py build_ext --inplace
@@ -68,25 +73,27 @@ typedef uint32_t u32;
 /* abc+1 < bound^3 must stay below 2^63. */
 #define MAX_BOUND 1500000
 
-/* Capacities for bound <= MAX_BOUND, where r < 1.5e6 and r^2-1 < 2.25e12.
-   The factor list of r^2-1 holds each of its distinct primes once (see
-   scan), and the product of the first 12 primes exceeds 2.25e12, so it has
-   at most 11 entries (at most 12 below 1e14).  r^2-1 has at most 6720
-   divisors, and the divisor buffer holds only those below r, at most half
-   of them (d and n/d pair off, and r is not one): 3360.  MAX_DIVISORS
-   leaves room for larger bounds.  Every write is still checked, and
-   overflow raises instead of corrupting memory; the tests build the kernel
-   with tiny capacities to see that happen. */
+/* Capacities for bound <= MAX_BOUND, where a < 1.5e6.  The product of the
+   first 8 primes, 9699690, exceeds 1.5e6, so a has at most 7 distinct
+   primes, each one entry of the factor list.  a has 2 unit roots per odd
+   prime power, and 1, 2 or 4 for 2^e with e = 1, 2 or e >= 3, so at most
+   128: seven odd primes exceed 1.5e6, six leave a 2-part of at most
+   1.5e6/255255 < 8, which has at most 2 roots, and five or fewer give at
+   most 4 * 2^5.  Below 1e7
+   the limits are 8 primes and 256 roots (8 * 3*5*7*11*13*17 < 1e7).  Every
+   write is still checked, and overflow raises instead of corrupting
+   memory; the tests build the kernel with tiny capacities to see that
+   happen. */
 #ifndef MAX_FACTORS
 #define MAX_FACTORS 16
 #endif
-#ifndef MAX_DIVISORS
-#define MAX_DIVISORS 16384
+#ifndef MAX_ROOTS
+#define MAX_ROOTS 256
 #endif
 
-enum { OK = 0, OVERFLOW_FACTORS, OVERFLOW_DIVISORS, OUT_OF_MEMORY };
+enum { OK = 0, OVERFLOW_FACTORS, OVERFLOW_ROOTS, OUT_OF_MEMORY };
 
-static const char *overflow_names[] = {NULL, "MAX_FACTORS", "MAX_DIVISORS"};
+static const char *overflow_names[] = {NULL, "MAX_FACTORS", "MAX_ROOTS"};
 
 /* Floor square root of v < 2^63: the double estimate is off by at most a
    few units at this size, so it is corrected in both directions.  The
@@ -132,25 +139,73 @@ build_spf(u64 limit)
     return spf;
 }
 
-/* Append the primes of n (within the sieve), ascending, with their
-   exponents, to primes and exps from entry *count on; advances *count. */
+/* The prime powers that divide n (within the sieve) exactly, ascending by
+   prime, into powers; writes their count. */
 static int
-factor(u64 n, const u32 *spf, u64 *primes, int *exps, int *count)
+factor(u64 n, const u32 *spf, u64 *powers, int *count)
 {
-    int k = *count;
+    int k = 0;
     while (n > 1) {
         u64 p = spf[n];
         if (k == MAX_FACTORS)
             return OVERFLOW_FACTORS;
-        primes[k] = p;
-        exps[k] = 0;
+        powers[k] = 1;
         while (n % p == 0) {
             n /= p;
-            exps[k]++;
+            powers[k] *= p;
         }
         k++;
     }
     *count = k;
+    return OK;
+}
+
+/* x^-1 mod m, for gcd(x, m) = 1, by the extended Euclidean algorithm. */
+static u64
+inv_mod(u64 x, u64 m)
+{
+    u64 r0 = m, r1 = x % m;
+    int64_t t0 = 0, t1 = 1;
+    while (r1 != 0) {
+        u64 q = r0 / r1, r2 = r0 - q * r1;
+        int64_t t2 = t0 - (int64_t)q * t1;
+        r0 = r1;
+        r1 = r2;
+        t0 = t1;
+        t1 = t2;
+    }
+    return t0 < 0 ? (u64)(t0 + (int64_t)m) : (u64)t0;
+}
+
+/* The t in [0, a) with t^2 == 1 (mod a), for a >= 2 with the k prime
+   powers from factor, into roots, unsorted; writes their count.  By CRT
+   over the prime powers, one modular inverse each, as in
+   search.unit_square_roots: 2 roots mod an odd prime power, and 1, 2 or 4
+   mod 2, 4 or a higher power of 2. */
+static int
+unit_roots(const u64 *powers, int k, u64 *roots, int *count)
+{
+    u64 mod = 1;
+    int n = 1, fi;
+    roots[0] = 0;
+    for (fi = 0; fi < k; fi++) {
+        u64 pe = powers[fi], half = pe / 2, inv = inv_mod(mod, pe);
+        u64 local[4] = {1, pe - 1, half - 1, half + 1};
+        int nl = pe & 1 ? 2 : pe == 2 ? 1 : pe == 4 ? 2 : 4, i, j;
+        if (n * nl > MAX_ROOTS)
+            return OVERFLOW_ROOTS;
+        /* root i's nl lifts go to slots i*nl.., from the last root down,
+           so each root is read before its slot is overwritten */
+        for (i = n - 1; i >= 0; i--) {
+            u64 res = roots[i];
+            for (j = 0; j < nl; j++)
+                roots[i * nl + j] =
+                    res + mod * ((local[j] + pe - res % pe) % pe * inv % pe);
+        }
+        n *= nl;
+        mod *= pe;
+    }
+    *count = n;
     return OK;
 }
 
@@ -244,67 +299,32 @@ pell_orbit(u64 a, u64 b, u64 r, u64 s_max, PyObject *found, u64 *candidates)
     return 0;
 }
 
-/* Walk the pairs with r in [r_lo, r_hi) and the Pell orbits of each, as in
+/* Walk the pairs with a in [a_lo, a_hi) and the Pell orbits of each, as in
    search._census_chunk_py.  Runs without the GIL.  Returns OK, an
    OVERFLOW_* code, or -1 with a Python exception set. */
 static int
-scan(u64 bound, u64 r_lo, u64 r_hi, const u32 *spf, u64 *divs,
-     PyObject *found, u64 *pairs, u64 *candidates)
+scan(u64 bound, u64 a_lo, u64 a_hi, const u32 *spf, PyObject *found,
+     u64 *pairs, u64 *candidates)
 {
-    u64 primes[MAX_FACTORS], r;
-    int exps[MAX_FACTORS], err;
+    u64 powers[MAX_FACTORS], roots[MAX_ROOTS], a;
+    int k, n, i, err;
 
-    for (r = r_lo; r < r_hi; r++) {
-        u64 n = r * r - 1, m = r + 1, a_lo;
-        int k = 0, nd = 1, fi, e, di;
+    for (a = a_lo; a < a_hi; a++) {
+        /* the pairs of a: r = u + k*a <= s_max (see the header) */
+        u64 s_max = isqrt64(a * bound + 1), r;
 
-        if ((r & 0xfff) == 0 && check_signals() < 0)
+        if ((a & 0xfff) == 0 && check_signals() < 0)
             return -1;
-        /* n = (r-1)(r+1) as one list: gcd(r-1, r+1) divides 2, so only 2
-           can occur in both halves.  For odd r it is r-1's first prime, and
-           the 2s of r+1 are added to that entry (for even r, r+1 is odd). */
-        if ((err = factor(r - 1, spf, primes, exps, &k)) != OK)
+        if ((err = factor(a, spf, powers, &k)) != OK
+                || (err = unit_roots(powers, k, roots, &n)) != OK)
             return err;
-        for (; !(m & 1); m >>= 1)
-            exps[0]++;
-        if ((err = factor(m, spf, primes, exps, &k)) != OK)
-            return err;
-
-        /* the divisors of n below r, from its factorization: a product
-           at or above r only grows as further prime powers join it */
-        divs[0] = 1;
-        for (fi = 0; fi < k; fi++) {
-            u64 pk = 1;
-            int grown = nd;
-            for (e = 0; e < exps[fi]; e++) {
-                pk *= primes[fi];
-                if (pk >= r)
-                    break;
-                for (di = 0; di < nd; di++) {
-                    u64 d = divs[di] * pk;
-                    if (d >= r)
-                        continue;
-                    if (grown == MAX_DIVISORS)
-                        return OVERFLOW_DIVISORS;
-                    divs[grown++] = d;
-                }
+        for (i = 0; i < n; i++)
+            for (r = roots[i] + a; r <= s_max; r += a) {
+                (*pairs)++;
+                if (r < s_max && pell_orbit(a, (r * r - 1) / a, r, s_max,
+                                            found, candidates) < 0)
+                    return -1;
             }
-            nd = grown;
-        }
-        /* the pairs: a_lo <= a < r (see the header) */
-        a_lo = (n + bound - 1) / bound;
-        if (a_lo < 2)
-            a_lo = 2;
-        for (di = 0; di < nd; di++) {
-            u64 a = divs[di], s_max;
-            if (a < a_lo)
-                continue;
-            s_max = isqrt64(a * bound + 1);
-            (*pairs)++;
-            if (s_max > r
-                    && pell_orbit(a, n / a, r, s_max, found, candidates) < 0)
-                return -1;
-        }
     }
     return OK;
 }
@@ -312,15 +332,14 @@ scan(u64 bound, u64 r_lo, u64 r_hi, const u32 *spf, u64 *divs,
 static PyObject *
 census_chunk(PyObject *self, PyObject *args)
 {
-    long long bound_in, r_lo_in, r_hi_in;
-    u64 bound, r_lo, r_hi, r_max, pairs = 0, candidates = 0;
+    long long bound_in, a_lo_in, a_hi_in;
+    u64 bound, a_lo, a_hi, pairs = 0, candidates = 0;
     u32 *spf;
-    u64 *divs;
     PyObject *found;
     int err;
 
-    if (!PyArg_ParseTuple(args, "LLL:census_chunk", &bound_in, &r_lo_in,
-                          &r_hi_in))
+    if (!PyArg_ParseTuple(args, "LLL:census_chunk", &bound_in, &a_lo_in,
+                          &a_hi_in))
         return NULL;
     if (bound_in < 3) {
         PyErr_Format(PyExc_ValueError, "bound must be >= 3, got %lld",
@@ -333,27 +352,24 @@ census_chunk(PyObject *self, PyObject *args)
         return NULL;
     }
     bound = (u64)bound_in;
-    /* r < 3 and r >= r_max give no pair with 2 <= a < b <= bound */
-    r_max = isqrt64(bound * (bound - 1) + 1) + 1;
-    r_lo = r_lo_in < 3 ? 3 : (u64)r_lo_in;
-    r_hi = r_hi_in < 3 ? 3 : (u64)r_hi_in;
-    if (r_hi > r_max)
-        r_hi = r_max;
-    if (r_lo > r_hi)
-        r_lo = r_hi;
+    /* a < 2 and a >= bound - 1 give no pair with 2 <= a < b <= bound */
+    a_lo = a_lo_in < 2 ? 2 : (u64)a_lo_in;
+    a_hi = a_hi_in < 2 ? 2 : (u64)a_hi_in;
+    if (a_hi > bound - 1)
+        a_hi = bound - 1;
+    if (a_lo > a_hi)
+        a_lo = a_hi;
 
     found = PyList_New(0);
     if (found == NULL)
         return NULL;
     err = OUT_OF_MEMORY;
     Py_BEGIN_ALLOW_THREADS
-    /* the scan factors r - 1 and r + 1, both at most r_hi */
-    spf = build_spf(r_hi + 1);
-    divs = malloc(MAX_DIVISORS * sizeof(u64));
-    if (spf != NULL && divs != NULL)
-        err = scan(bound, r_lo, r_hi, spf, divs, found, &pairs, &candidates);
+    /* the scan factors every a < a_hi */
+    spf = build_spf(a_hi);
+    if (spf != NULL)
+        err = scan(bound, a_lo, a_hi, spf, found, &pairs, &candidates);
     Py_END_ALLOW_THREADS
-    free(divs);
     free(spf);
     if (err == OUT_OF_MEMORY)
         PyErr_NoMemory();
@@ -371,10 +387,10 @@ census_chunk(PyObject *self, PyObject *args)
 
 static PyMethodDef kernel_methods[] = {
     {"census_chunk", census_chunk, METH_VARARGS,
-     "census_chunk(bound, r_lo, r_hi) -> (raw_triples, pairs, candidates)\n\n"
-     "Scan pair radicals r in [r_lo, r_hi).  Raw triples are\n"
-     "(a, b, c, r_ab, r_ac, r_bc, r_abc) tuples in no particular order; the\n"
-     "caller owns ordering and deduplication."},
+     "census_chunk(bound, a_lo, a_hi) -> (raw_triples, pairs, candidates)\n\n"
+     "Scan the pairs whose smaller element a is in [a_lo, a_hi).  Raw\n"
+     "triples are (a, b, c, r_ab, r_ac, r_bc, r_abc) tuples in no\n"
+     "particular order; the caller owns ordering and deduplication."},
     {NULL, NULL, 0, NULL}};
 
 static struct PyModuleDef kernel_module = {

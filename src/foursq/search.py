@@ -1,16 +1,19 @@
 """Exhaustive census of four-square triples up to a bound.
 
-Strategy: enumerate r upward and factor r^2-1 = (r-1)(r+1) through a
-smallest-prime-factor sieve to stream every pair 2 <= a < b <= bound with
-ab+1 = r^2.  For each pair, every c > b with ac+1 = s^2 and bc+1 = t^2
-solves the Pell-type equation a*t^2 - b*s^2 = a - b, whose solutions fall
-into orbits under the unit r + sqrt(ab).  Each orbit holds a small seed
-(Nagell's bound, see `pell_orbit`), so the census tests a handful of seeds
-per pair and follows their orbits up to the bound.  Each iterate (t, s)
-gives c = (s^2-1)/a with bc+1 = t^2 by construction (checked, not searched
-for) and an exact square test of abc+1.  A compiled kernel covers the same
-scan for bounds whose arithmetic fits in 64 bits (up to its exported
-MAX_BOUND); the pure-Python path is the fallback and the reference for it.
+Strategy: enumerate every pair 2 <= a < b <= bound with ab+1 = r^2 by its
+smaller element a.  b > a is r > a, b <= bound is r <= isqrt(a*bound+1),
+and b = (r^2-1)/a is an integer exactly when r^2 == 1 (mod a), so the pairs
+of a are r = u + k*a (k >= 1) for the unit roots u of a, which CRT builds
+from a's factorization through a smallest-prime-factor sieve.  For each
+pair, every c > b with ac+1 = s^2 and bc+1 = t^2 solves the Pell-type
+equation a*t^2 - b*s^2 = a - b, whose solutions fall into orbits under the
+unit r + sqrt(ab).  Each orbit holds a small seed (Nagell's bound, see
+`pell_orbit`), so the census tests a handful of seeds per pair and follows
+their orbits up to the bound.  Each iterate (t, s) gives c = (s^2-1)/a with
+bc+1 = t^2 by construction (checked, not searched for) and an exact square
+test of abc+1.  A compiled kernel covers the same scan for bounds whose
+arithmetic fits in 64 bits (up to its exported MAX_BOUND); the pure-Python
+path is the fallback and the reference for it.
 
 `brute_oracle` is the deliberately dumb cross-check: double pair loop plus a
 full scan of c, never sharing code with the fast path.
@@ -31,9 +34,9 @@ except ImportError:  # extension not built; pure Python carries the load
     _kernel = None
 
 ORACLE_MAX_BOUND = 2000
-# The pure census sieves r up to about the bound, at about 40 bytes a list
+# The pure census sieves a up to about the bound, at about 40 bytes a list
 # entry: 400 MB at this cap.  That is per process: with jobs > 1 each pool
-# process builds its own sieve up to its chunk's r_hi, so a run near the cap
+# process builds its own sieve up to its chunk's a_hi, so a run near the cap
 # can hold as many such sieves at once as it has workers (see search_triples).
 PURE_MAX_BOUND = 10**7
 
@@ -85,7 +88,7 @@ def census_path(bound: int, force_pure: bool = False,
     if bound > PURE_MAX_BOUND:
         raise DomainError(
             f"bound {bound} exceeds the pure census cap {PURE_MAX_BOUND}: "
-            f"its sieve would take about {40 * _r_max(bound) // 10**6} MB")
+            f"its sieve would take about {40 * bound // 10**6} MB")
     return False, reason
 
 
@@ -113,20 +116,6 @@ def factorize(n: int, spf: List[int]) -> List[Tuple[int, int]]:
     return out
 
 
-def divisors(factors: List[Tuple[int, int]]) -> List[int]:
-    divs = [1]
-    for p, e in factors:
-        pk = 1
-        grown = []
-        for _ in range(e):
-            pk *= p
-            grown.extend(d * pk for d in divs)
-        divs.extend(grown)
-    return divs
-
-
-# Not used by the census: tests count the census's pairs with it, an
-# oracle independent of `find_pairs`.
 def unit_square_roots(m: int, spf: List[int]) -> Tuple[int, ...]:
     """All t in [0, m) with t^2 == 1 (mod m), by CRT over prime powers."""
     if m == 1:
@@ -154,36 +143,30 @@ def unit_square_roots(m: int, spf: List[int]) -> Tuple[int, ...]:
     return tuple(sorted(z for z, _ in roots))
 
 
-def _r_max(bound: int) -> int:
-    """One past the largest r with ab+1 = r^2 for some a < b <= bound."""
-    return isqrt(bound * (bound - 1) + 1) + 1
-
-
-def find_pairs(bound: int, r_lo: int = 3, r_hi: Optional[int] = None
+def find_pairs(bound: int, a_lo: int = 2, a_hi: Optional[int] = None
                ) -> Iterator[Tuple[int, int, int]]:
-    """Yield every (a, b, r) with 2 <= a < b <= bound and ab+1 = r^2,
-    ordered by r and then by a.
+    """Yield every (a, b, r) with 2 <= a < b <= bound, a_lo <= a < a_hi and
+    ab+1 = r^2, ordered by a and then by r.
 
-    The pairs of r are the divisors a of n = r^2-1 in the window
-    a_lo <= a < r: a < b = n/a is a*a < n, that is a < r, and b <= bound is
-    a >= n/bound, so a_lo = max(2, ceil(n/bound)).
+    b > a is r > a, and b <= bound is r <= s_max = isqrt(a*bound+1); b is an
+    integer exactly when r^2 == 1 (mod a).  So the pairs of a are
+    r = u + k*a <= s_max, k >= 1, for the unit roots 1 <= u < a of a.  Every
+    pair has b >= a+2, since a(a+1)+1 lies strictly between a^2 and
+    (a+1)^2, so no a >= bound-1 has a pair.
     """
     if bound < 3:
         raise DomainError(f"pair enumeration needs bound >= 3, got {bound}")
-    r_max = _r_max(bound)  # no r >= r_max has a pair, so sieve no further
-    r_hi = r_max if r_hi is None else min(r_hi, r_max)
-    spf = spf_sieve(max(r_hi, 3))
-    for r in range(max(r_lo, 3), r_hi):  # r < 3 gives no pair
-        n = r * r - 1
-        a_lo = max(2, -(-n // bound))
-        # gcd(r-1, r+1) divides 2, so only 2 can occur in both lists; for
-        # odd r it leads both, and r+1's entry is added to r-1's
-        factors, upper = factorize(r - 1, spf), factorize(r + 1, spf)
-        if r % 2:
-            factors[0] = (2, factors[0][1] + upper.pop(0)[1])
-        for a in sorted(d for d in divisors(factors + upper)
-                        if a_lo <= d < r):
-            yield a, n // a, r
+    a_hi = bound - 1 if a_hi is None else min(a_hi, bound - 1)
+    spf = spf_sieve(max(a_hi - 1, 1))  # every a < a_hi, and no further
+    for a in range(max(a_lo, 2), a_hi):
+        s_max = isqrt(a * bound + 1)
+        roots = unit_square_roots(a, spf)
+        for base in range(a, s_max, a):
+            for u in roots:
+                r = base + u
+                if r > s_max:
+                    break
+                yield a, (r * r - 1) // a, r
 
 
 def pell_orbit(a: int, b: int, r: int, s_max: int
@@ -236,9 +219,10 @@ def pell_orbit(a: int, b: int, r: int, s_max: int
     return seeds, found
 
 
-def _census_chunk_py(bound: int, r_lo: int, r_hi: int
+def _census_chunk_py(bound: int, a_lo: int, a_hi: int
                      ) -> Tuple[List[Tuple[int, ...]], int, int]:
-    """Scan pairs with r in [r_lo, r_hi); return raw triples and counters.
+    """Scan the pairs with a in [a_lo, a_hi); return raw triples and
+    counters.
 
     Raw triples are (a, b, c, r_ab, r_ac, r_bc, r_abc) tuples.  The compiled
     kernel returns the same tuples, possibly in another order, and the same
@@ -248,7 +232,7 @@ def _census_chunk_py(bound: int, r_lo: int, r_hi: int
     found = []
     pairs = 0
     candidates = 0
-    for a, b, r in find_pairs(bound, r_lo, r_hi):
+    for a, b, r in find_pairs(bound, a_lo, a_hi):
         pairs += 1
         s_max = isqrt(a * bound + 1)
         if s_max <= r:
@@ -265,23 +249,22 @@ def _census_chunk_py(bound: int, r_lo: int, r_hi: int
 
 
 def _chunk_worker(args) -> Tuple[List[Tuple[int, ...]], int, int]:
-    bound, r_lo, r_hi, use_kernel = args
+    bound, a_lo, a_hi, use_kernel = args
     if use_kernel:
-        return _kernel.census_chunk(bound, r_lo, r_hi)
-    return _census_chunk_py(bound, r_lo, r_hi)
+        return _kernel.census_chunk(bound, a_lo, a_hi)
+    return _census_chunk_py(bound, a_lo, a_hi)
 
 
 def _chunk_plan(bound: int, workers: int, use_kernel: bool) -> List[tuple]:
-    """The `_chunk_worker` arguments of a census: the whole r-range for one
-    worker, else about 4*workers disjoint r-ranges (never more than
-    r-values)."""
-    r_max = _r_max(bound)
+    """The `_chunk_worker` arguments of a census: the whole a-range
+    [2, bound-1) for one worker, else about 4*workers disjoint a-ranges
+    (never more than a-values)."""
     if workers == 1:
-        return [(bound, 3, r_max, use_kernel)]
+        return [(bound, 2, bound - 1, use_kernel)]
     n_chunks = 4 * workers
-    step = max(1, (r_max - 3 + n_chunks - 1) // n_chunks)
-    return [(bound, lo, min(lo + step, r_max), use_kernel)
-            for lo in range(3, r_max, step)]
+    step = max(1, (bound - 3 + n_chunks - 1) // n_chunks)
+    return [(bound, lo, min(lo + step, bound - 1), use_kernel)
+            for lo in range(2, bound - 1, step)]
 
 
 def _map_on_threads(chunks: List[tuple], workers: int) -> list:
@@ -337,7 +320,7 @@ def search_triples(bound: int, jobs: int = 1,
     ac+1, bc+1, abc+1 perfect squares, sorted by (c, b, a) with certificates.
 
     Deterministic regardless of `jobs`: workers (threads on the kernel path,
-    processes on the pure path) cover disjoint r-ranges and the merged
+    processes on the pure path) cover disjoint a-ranges and the merged
     output is sorted and deduplicated.  It plans its chunks for
     min(jobs, CPUs) workers and starts no more workers than chunks, so a
     `jobs` far past the core count costs no more than one job per core.

@@ -12,7 +12,7 @@ import pytest
 from foursq import (DomainError, brute_oracle, find_pairs, make_companion,
                     make_main, search, search_triples, verify_four)
 from foursq.search import (ORACLE_MAX_BOUND, _census_chunk_py, _chunk_plan,
-                           divisors, factorize, pell_orbit, spf_sieve,
+                           factorize, pell_orbit, spf_sieve,
                            unit_square_roots)
 
 SECTION1 = [
@@ -27,6 +27,19 @@ def test_spf_sieve_and_factorize():
     assert factorize(60, spf) == [(2, 2), (3, 1), (5, 1)]
     assert factorize(97, spf) == [(97, 1)]
     assert factorize(1, spf) == []
+
+
+def divisors(factors):
+    """Every divisor of the number with prime factorization `factors`."""
+    divs = [1]
+    for p, e in factors:
+        pk = 1
+        grown = []
+        for _ in range(e):
+            pk *= p
+            grown.extend(d * pk for d in divs)
+        divs.extend(grown)
+    return divs
 
 
 def test_divisors():
@@ -48,24 +61,23 @@ def test_find_pairs_bound_10():
         (6, 8, 7), (7, 9, 8), (8, 10, 9)]
 
 
-@pytest.mark.parametrize("bound,r_lo,r_hi", [
+@pytest.mark.parametrize("bound,a_lo,a_hi", [
     (10, 3, 10**8), (1000, 3, 2_000_000), (1000, 5000, 10**9)])
-def test_pure_census_clamps_r_range_to_r_max(monkeypatch, bound, r_lo, r_hi):
-    # no pair has r >= r_max, so an r_hi past it must not size the sieve;
-    # the check runs before the build, so a huge sieve fails fast
-    r_max = search._r_max(bound)
-    want = list(find_pairs(bound)) if r_lo == 3 else []
-    want_chunk = _census_chunk_py(bound, 3, r_max)
+def test_pure_census_clamps_r_range_to_r_max(monkeypatch, bound, a_lo, a_hi):
+    # the windows are of a: no pair has a >= bound-1, so an a_hi past it
+    # must not size the sieve; the check runs before the build, so a huge
+    # sieve fails fast
+    want = [pair for pair in find_pairs(bound) if pair[0] >= a_lo]
+    want_chunk = _census_chunk_py(bound, a_lo, bound - 1)
     limits = []
 
     def sieve(limit):
         limits.append(limit)
-        assert limit <= r_max, f"a sieve to {limit} was asked for"
+        assert limit <= bound - 2, f"a sieve to {limit} was asked for"
         return spf_sieve(limit)
     monkeypatch.setattr(search, "spf_sieve", sieve)
-    assert list(find_pairs(bound, r_lo, r_hi)) == want
-    if r_lo == 3:
-        assert _census_chunk_py(bound, r_lo, r_hi) == want_chunk
+    assert list(find_pairs(bound, a_lo, a_hi)) == want
+    assert _census_chunk_py(bound, a_lo, a_hi) == want_chunk
     assert limits
 
 
@@ -88,11 +100,11 @@ def pairs_to_300():
 
 @pytest.mark.parametrize("bound", range(3, 301))
 def test_find_pairs_matches_double_loop_oracle(bound, pairs_to_300):
-    # every bound, so the window edges a = a_lo and b = bound both occur
+    # every bound, so the edges b = bound and a = bound-2 both occur
     want = {(a, b, r) for a, b, r in pairs_to_300 if b <= bound}
     got = list(find_pairs(bound))
     assert set(got) == want
-    assert got == sorted(got, key=lambda p: (p[2], p[0]))
+    assert got == sorted(got)
 
 
 def test_pell_orbit_finds_every_c_of_a_pair():
@@ -204,10 +216,6 @@ def test_kernel_matches_pure_python(bound, kernel, monkeypatch):
     assert fast.stats.candidates_tested == pure.stats.candidates_tested
 
 
-def _r_max(bound):
-    return math.isqrt(bound * (bound - 1) + 1) + 1
-
-
 def _sorted_chunk(chunk):
     found, pairs, candidates = chunk
     return sorted(found), pairs, candidates
@@ -216,22 +224,23 @@ def _sorted_chunk(chunk):
 @pytest.mark.parametrize("bound", [*range(3, 401), 2000, 10_000])
 def test_kernel_chunk_equals_pure_chunk(bound, kernel):
     # the same raw triples, in any order, and the same counters; every
-    # bound to 400, so pairs with a = a_lo and with s_max = r + 1 occur
-    assert (_sorted_chunk(kernel.census_chunk(bound, 3, _r_max(bound)))
-            == _sorted_chunk(_census_chunk_py(bound, 3, _r_max(bound))))
+    # bound to 400, so pairs with b = bound and with s_max = r occur
+    assert (_sorted_chunk(kernel.census_chunk(bound, 2, bound - 1))
+            == _sorted_chunk(_census_chunk_py(bound, 2, bound - 1)))
 
 
-@pytest.mark.parametrize("r_lo,r_hi,counts", [
-    (3, 2000, (21, 41_101, 173_918)),
-    (1_499_000, 1_500_000, (0, 1000, 997)),
+@pytest.mark.parametrize("a_lo,a_hi,counts", [
+    (500, 600, (2, 25_358, 61_135)),
+    (1_499_000, 1_500_000, (0, 999, 996)),
 ])
-def test_kernel_chunk_equals_pure_chunk_at_the_kernel_cap(kernel, r_lo, r_hi,
+def test_kernel_chunk_equals_pure_chunk_at_the_kernel_cap(kernel, a_lo, a_hi,
                                                           counts):
-    # at the kernel's MAX_BOUND its 64-bit ranges are widest; the pure
-    # sieve reaches only r_hi, so r-windows there are cheap to compare
-    pure = _sorted_chunk(_census_chunk_py(kernel.MAX_BOUND, r_lo, r_hi))
-    assert _sorted_chunk(kernel.census_chunk(kernel.MAX_BOUND, r_lo,
-                                             r_hi)) == pure
+    # at the kernel's MAX_BOUND its 64-bit ranges are widest: the first
+    # a-window holds (533, 509736, 543235), the second has b and c near the
+    # bound; the counts are the pure path's
+    pure = _sorted_chunk(_census_chunk_py(kernel.MAX_BOUND, a_lo, a_hi))
+    assert _sorted_chunk(kernel.census_chunk(kernel.MAX_BOUND, a_lo,
+                                             a_hi)) == pure
     assert (len(pure[0]), pure[1], pure[2]) == counts
 
 
@@ -243,41 +252,61 @@ def test_kernel_census_counts_past_the_pure_path(kernel, bound, triples,
                                                  pairs, candidates):
     # golden counts at bounds the pure path takes minutes to reach, where
     # no parity test can catch a kernel that drifts
-    found, got_pairs, got_candidates = kernel.census_chunk(bound, 3,
-                                                           _r_max(bound))
+    found, got_pairs, got_candidates = kernel.census_chunk(bound, 2,
+                                                           bound - 1)
     assert len({t[:3] for t in found}) == triples
     assert (got_pairs, got_candidates) == (pairs, candidates)
 
 
-def _pairs_by_unit_roots(bound):
-    """The pairs a < b <= bound with ab+1 = r^2, counted over a by a method
-    that shares nothing with `find_pairs`: b > a is r > a, b <= bound is
-    r <= isqrt(a*bound+1), and b is an integer when r^2 == 1 (mod a)."""
-    spf = spf_sieve(bound)
+def test_kernel_a_windows_sum_to_the_golden_counts(kernel):
+    # uneven a-windows, across signal-check steps of 4096, tile the census
+    # at 200,000 into the full range's golden triples and counters
+    bound = 200_000
+    edges = [2, 3, 100, 4095, 4096, 4097, 70_000, bound - 2, bound - 1]
+    parts = [kernel.census_chunk(bound, lo, hi)
+             for lo, hi in zip(edges, edges[1:])]
+    assert len({t[:3] for found, _, _ in parts for t in found}) == 25
+    assert sum(p for _, p, _ in parts) == 1_398_856
+    assert sum(c for _, _, c in parts) == 2_140_201
+
+
+def _pairs_by_divisors(bound):
+    """The pairs a < b <= bound with ab+1 = r^2, counted over r, where
+    `find_pairs` takes them over a from the unit roots of a: the pairs of r
+    are the divisors a of n = r^2-1 with a < n/a (that is a < r) and
+    n/a <= bound.  Only the sieve and `factorize` are shared."""
+    r_max = math.isqrt(bound * (bound - 1) + 1)
+    spf = spf_sieve(r_max + 1)
     count = 0
-    for a in range(2, bound):
-        r_top = math.isqrt(a * bound + 1)
-        for t in unit_square_roots(a, spf):
-            count += (r_top - t) // a  # r = t + k*a, k >= 1, as 1 <= t < a
+    for r in range(3, r_max + 1):
+        n = r * r - 1
+        a_lo = max(2, -(-n // bound))
+        factors = factorize(r - 1, spf) + factorize(r + 1, spf)
+        merged = {}
+        for p, e in factors:
+            merged[p] = merged.get(p, 0) + e
+        count += sum(a_lo <= d < r for d in divisors(list(merged.items())))
     return count
 
 
 @pytest.mark.parametrize("bound,pairs", [(2000, 8_351), (10_000, 51_665)])
-def test_pairs_scanned_equals_a_count_by_unit_roots(kernel, bound, pairs):
-    assert _pairs_by_unit_roots(bound) == pairs
-    assert _census_chunk_py(bound, 3, _r_max(bound))[1] == pairs
-    assert kernel.census_chunk(bound, 3, _r_max(bound))[1] == pairs
+def test_pairs_scanned_equals_a_count_by_divisors(kernel, bound, pairs):
+    assert _pairs_by_divisors(bound) == pairs
+    assert _census_chunk_py(bound, 2, bound - 1)[1] == pairs
+    assert kernel.census_chunk(bound, 2, bound - 1)[1] == pairs
 
 
 def test_kernel_chunk_edges(kernel):
+    # a-windows: below 2, across 2, the a = bound-2 of the last pair
+    # (bound-2, bound), and past bound-1
     bound = 2000
-    edges = [-5, 0, 2, 3, 4, 47, 48, 1000, _r_max(bound) - 1, _r_max(bound),
-             _r_max(bound) + 50]
+    edges = [-5, 0, 2, 3, 4, 47, 48, 1000, bound - 2, bound - 1, bound,
+             bound + 50]
     parts = []
-    for r_lo, r_hi in zip(edges, edges[1:]):
-        part = _sorted_chunk(kernel.census_chunk(bound, r_lo, r_hi))
-        assert part == _sorted_chunk(_census_chunk_py(bound, r_lo, r_hi)), (
-            r_lo, r_hi)
+    for a_lo, a_hi in zip(edges, edges[1:]):
+        part = _sorted_chunk(kernel.census_chunk(bound, a_lo, a_hi))
+        assert part == _sorted_chunk(_census_chunk_py(bound, a_lo, a_hi)), (
+            a_lo, a_hi)
         parts.append(part)
     whole = _sorted_chunk(kernel.census_chunk(bound, edges[0], edges[-1]))
     assert sorted(t for found, _, _ in parts for t in found) == whole[0]
@@ -302,11 +331,11 @@ def _use_kernel(monkeypatch, kernel):
     monkeypatch.setattr(search, "Pool", no_pool)
 
 
-@pytest.mark.parametrize("cap", ["MAX_FACTORS", "MAX_DIVISORS"])
+@pytest.mark.parametrize("cap", ["MAX_FACTORS", "MAX_ROOTS"])
 def test_kernel_capacity_overflow_raises(build_kernel, cap, monkeypatch):
     small = build_kernel(**{cap: 2})
     with pytest.raises(RuntimeError, match=cap):
-        small.census_chunk(2000, 3, _r_max(2000))
+        small.census_chunk(2000, 2, 1999)
     # the error of a chunk on a worker thread reaches the caller
     _use_kernel(monkeypatch, small)
     with pytest.raises(RuntimeError, match=cap):
@@ -336,7 +365,7 @@ def test_kernel_releases_the_gil_while_it_scans(kernel):
 
     def census():
         start = time.perf_counter()
-        kernel.census_chunk(bound, 3, _r_max(bound))
+        kernel.census_chunk(bound, 2, bound - 1)
         window.extend((start, time.perf_counter()))
 
     worker = threading.Thread(target=census)
@@ -417,13 +446,14 @@ def test_interrupt_stops_a_threaded_census(kernel, monkeypatch):
 @pytest.mark.parametrize("bound,jobs", [
     (3, 2), (4, 2), (24, 4), (750, 3), (50_000, 2), (100, 10**9)])
 def test_chunk_plan_tiles_the_r_range(bound, jobs):
-    # one worker per chunk at most, so the plan bounds the threads or
-    # processes a census starts, whatever --jobs says
+    # the chunks tile the a-range [2, bound-1) of the pairs; one worker per
+    # chunk at most, so the plan bounds the threads or processes a census
+    # starts, whatever --jobs says
     chunks = _chunk_plan(bound, jobs, True)
-    assert len(chunks) <= min(4 * jobs, _r_max(bound) - 3)
-    edges = [3] + [r_hi for _, _, r_hi, _ in chunks]
-    assert [r_lo for _, r_lo, _, _ in chunks] == edges[:-1]
-    assert edges[-1] == _r_max(bound)
+    assert len(chunks) <= min(4 * jobs, bound - 3)
+    edges = [2] + [a_hi for _, _, a_hi, _ in chunks]
+    assert [a_lo for _, a_lo, _, _ in chunks] == edges[:-1]
+    assert edges[-1] == bound - 1
     assert all(lo < hi for lo, hi in zip(edges, edges[1:]))
 
 
