@@ -2,13 +2,13 @@
  * Compiled census kernel: the pair and Pell-orbit scan of
  * search._census_chunk_py in 64-bit arithmetic, for bounds up to MAX_BOUND.
  *
- * census_chunk must return the same raw triples (in any order) and the same
- * counters as the pure path; the test suite enforces that equality.  Both
- * paths find the seeds of each pair's orbits by the same scan of
- * c0 = (s0^2-1)/a (see pell_orbit).  The kernel differs in two ways that
- * change neither: it visits the pairs of each a root by root, not in
- * ascending r, and it follows the seed c0 = 0 without a square test (see
- * below).
+ * census_chunk follows search._census_chunk_py step for step and returns
+ * the same list: the same raw triples in the same order, and the same
+ * counters; the test suite enforces that equality.  For each a, both paths
+ * divide out its prime powers by the sieve while they lift its unit roots
+ * by CRT (see unit_roots), walk its pairs root by root in that CRT order
+ * and then by ascending r, and find the seeds of each pair's orbits by the
+ * same scan of c0 = (s0^2-1)/a from c0 = 0 (see pell_orbit).
  *
  * Pairs by their smaller element a: b > a is r > a, and b <= bound is
  * r <= s_max = isqrt(a*bound + 1); b = (r^2-1)/a is an integer exactly when
@@ -19,9 +19,7 @@
  *
  * S >= 1 for every pair: ab+1 = r^2 rules out b = a+1, so b >= a+2, and
  * then r <= (a+b)/2, so a(b-a) - 2(r-1) >= (a-1)(b-a-2) >= 0.  Hence
- * C = (S^2-1)/a never wraps.  c0 = 0 is a seed of every pair
- * (a*0 + 1 = b*0 + 1 = 1), so the kernel follows s0 = t0 = 1 without
- * square-testing 1 and counts it as a tested seed, as the pure path does.
+ * C = (S^2-1)/a never wraps.
  *
  * The root of bc+1 is the orbit's t: every iterate solves
  * a*t^2 - b*s^2 = a - b, and s^2 == 1 (mod a) holds for s0 and is kept by
@@ -73,27 +71,24 @@ typedef uint32_t u32;
 /* abc+1 < bound^3 must stay below 2^63. */
 #define MAX_BOUND 1500000
 
-/* Capacities for bound <= MAX_BOUND, where a < 1.5e6.  The product of the
-   first 8 primes, 9699690, exceeds 1.5e6, so a has at most 7 distinct
-   primes, each one entry of the factor list.  a has 2 unit roots per odd
-   prime power, and 1, 2 or 4 for 2^e with e = 1, 2 or e >= 3, so at most
-   128: seven odd primes exceed 1.5e6, six leave a 2-part of at most
-   1.5e6/255255 < 8, which has at most 2 roots, and five or fewer give at
-   most 4 * 2^5.  Below 1e7
-   the limits are 8 primes and 256 roots (8 * 3*5*7*11*13*17 < 1e7).  Every
+/* Capacity for bound <= MAX_BOUND, where a < 1.5e6.  a has 2 unit roots
+   per odd prime power, and 1, 2 or 4 for 2^e with e = 1, 2 or e >= 3.  The
+   product of the first 8 primes, 9699690, exceeds 1.5e6, so a has at most
+   7 distinct primes and at most 128 roots: seven odd primes exceed 1.5e6,
+   six leave a 2-part of at most 1.5e6/255255 < 8, which has at most 2
+   roots, and five or fewer give at most 4 * 2^5.  406 values of a below
+   1.5e6 reach 128, the first a = 120120 = 8*3*5*7*11*13; the tests run the
+   census at MAX_BOUND with MAX_ROOTS = 128, and see 64 overflow at 120120.
+   Below 1e7 the limit is 256 roots (8 * 3*5*7*11*13*17 < 1e7).  Every
    write is still checked, and overflow raises instead of corrupting
-   memory; the tests build the kernel with tiny capacities to see that
-   happen. */
-#ifndef MAX_FACTORS
-#define MAX_FACTORS 16
-#endif
+   memory. */
 #ifndef MAX_ROOTS
 #define MAX_ROOTS 256
 #endif
 
-enum { OK = 0, OVERFLOW_FACTORS, OVERFLOW_ROOTS, OUT_OF_MEMORY };
+enum { OK = 0, OVERFLOW_ROOTS, OUT_OF_MEMORY };
 
-static const char *overflow_names[] = {NULL, "MAX_FACTORS", "MAX_ROOTS"};
+static const char *overflow_names[] = {NULL, "MAX_ROOTS"};
 
 /* Floor square root of v < 2^63: the double estimate is off by at most a
    few units at this size, so it is corrected in both directions.  The
@@ -139,27 +134,6 @@ build_spf(u64 limit)
     return spf;
 }
 
-/* The prime powers that divide n (within the sieve) exactly, ascending by
-   prime, into powers; writes their count. */
-static int
-factor(u64 n, const u32 *spf, u64 *powers, int *count)
-{
-    int k = 0;
-    while (n > 1) {
-        u64 p = spf[n];
-        if (k == MAX_FACTORS)
-            return OVERFLOW_FACTORS;
-        powers[k] = 1;
-        while (n % p == 0) {
-            n /= p;
-            powers[k] *= p;
-        }
-        k++;
-    }
-    *count = k;
-    return OK;
-}
-
 /* x^-1 mod m, for gcd(x, m) = 1, by the extended Euclidean algorithm. */
 static u64
 inv_mod(u64 x, u64 m)
@@ -177,21 +151,29 @@ inv_mod(u64 x, u64 m)
     return t0 < 0 ? (u64)(t0 + (int64_t)m) : (u64)t0;
 }
 
-/* The t in [0, a) with t^2 == 1 (mod a), for a >= 2 with the k prime
-   powers from factor, into roots, unsorted; writes their count.  By CRT
-   over the prime powers, one modular inverse each, as in
-   search.unit_square_roots: 2 roots mod an odd prime power, and 1, 2 or 4
-   mod 2, 4 or a higher power of 2. */
+/* The t in [0, a) with t^2 == 1 (mod a), for 2 <= a within the sieve,
+   into roots; writes their count.  As in search.unit_square_roots: divide
+   out each prime power p^e of a by its smallest prime from the sieve, and
+   lift every root so far by CRT, with one modular inverse, to each root of
+   p^e in the order 1, p^e-1, p^e/2-1, p^e/2+1: 2 roots mod an odd prime
+   power, and 1, 2 or 4 mod 2, 4 or a higher power of 2.  The lifts of each
+   root follow one another, so the roots come in the reference's order. */
 static int
-unit_roots(const u64 *powers, int k, u64 *roots, int *count)
+unit_roots(u64 a, const u32 *spf, u64 *roots, int *count)
 {
     u64 mod = 1;
-    int n = 1, fi;
+    int n = 1;
     roots[0] = 0;
-    for (fi = 0; fi < k; fi++) {
-        u64 pe = powers[fi], half = pe / 2, inv = inv_mod(mod, pe);
+    while (a > 1) {
+        u64 p = spf[a], pe = 1;
+        int i, j;
+        while (a % p == 0) {
+            a /= p;
+            pe *= p;
+        }
+        u64 half = pe / 2, inv = inv_mod(mod, pe);
         u64 local[4] = {1, pe - 1, half - 1, half + 1};
-        int nl = pe & 1 ? 2 : pe == 2 ? 1 : pe == 4 ? 2 : 4, i, j;
+        int nl = pe & 1 ? 2 : pe == 2 ? 1 : pe == 4 ? 2 : 4;
         if (n * nl > MAX_ROOTS)
             return OVERFLOW_ROOTS;
         /* root i's nl lifts go to slots i*nl.., from the last root down,
@@ -271,9 +253,8 @@ follow_orbit(u64 a, u64 b, u64 r, u64 s_max, int64_t t, int64_t s,
    b*c0 + 1 = t0^2, c0 = (s0^2-1)/a.  The seed search is search.pell_orbit's:
    scan c0 = 0..C, C = (S^2-1)/a, for a square a*c0 + 1 = s0^2, C+1 tests
    where s0 = 1..S would take S.  c0 and s0 rise together, so the seeds
-   come in ascending order.  The seed c0 = 0 (s0 = t0 = 1) needs no square
-   test.
-   Returns 0, or -1 with a Python exception set. */
+   come in ascending order, and each is followed from (t0, s0), then from
+   (-t0, s0).  Returns 0, or -1 with a Python exception set. */
 static int
 pell_orbit(u64 a, u64 b, u64 r, u64 s_max, PyObject *found, u64 *candidates)
 {
@@ -281,11 +262,7 @@ pell_orbit(u64 a, u64 b, u64 r, u64 s_max, PyObject *found, u64 *candidates)
     u64 c0_max = (seed_max * seed_max - 1) / a;
     u64 s0, c0, t0;
 
-    (*candidates)++;
-    if (follow_orbit(a, b, r, s_max, 1, 1, found, candidates) < 0
-            || follow_orbit(a, b, r, s_max, -1, 1, found, candidates) < 0)
-        return -1;
-    for (c0 = 1; c0 <= c0_max; c0++) {
+    for (c0 = 0; c0 <= c0_max; c0++) {
         if (!square_root(a * c0 + 1, &s0))
             continue;
         (*candidates)++;
@@ -306,8 +283,8 @@ static int
 scan(u64 bound, u64 a_lo, u64 a_hi, const u32 *spf, PyObject *found,
      u64 *pairs, u64 *candidates)
 {
-    u64 powers[MAX_FACTORS], roots[MAX_ROOTS], a;
-    int k, n, i, err;
+    u64 roots[MAX_ROOTS], a;
+    int n, i, err;
 
     for (a = a_lo; a < a_hi; a++) {
         /* the pairs of a: r = u + k*a <= s_max (see the header) */
@@ -315,8 +292,7 @@ scan(u64 bound, u64 a_lo, u64 a_hi, const u32 *spf, PyObject *found,
 
         if ((a & 0xfff) == 0 && check_signals() < 0)
             return -1;
-        if ((err = factor(a, spf, powers, &k)) != OK
-                || (err = unit_roots(powers, k, roots, &n)) != OK)
+        if ((err = unit_roots(a, spf, roots, &n)) != OK)
             return err;
         for (i = 0; i < n; i++)
             for (r = roots[i] + a; r <= s_max; r += a) {
@@ -389,8 +365,9 @@ static PyMethodDef kernel_methods[] = {
     {"census_chunk", census_chunk, METH_VARARGS,
      "census_chunk(bound, a_lo, a_hi) -> (raw_triples, pairs, candidates)\n\n"
      "Scan the pairs whose smaller element a is in [a_lo, a_hi).  Raw\n"
-     "triples are (a, b, c, r_ab, r_ac, r_bc, r_abc) tuples in no\n"
-     "particular order; the caller owns ordering and deduplication."},
+     "triples are (a, b, c, r_ab, r_ac, r_bc, r_abc) tuples, in the order\n"
+     "of search._census_chunk_py, which returns the same list; the caller\n"
+     "merges chunks and drops duplicates."},
     {NULL, NULL, 0, NULL}};
 
 static struct PyModuleDef kernel_module = {

@@ -1,7 +1,9 @@
 """Command-line front end: gen, verify, search, prove, seq.
 
 Data goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
-1 verification/proof failure, 2 usage or domain error.  All potentially
+1 verification/proof failure, 2 usage or domain error, 141 (128 + SIGPIPE,
+as a shell reports a process the signal killed) when stdout is closed
+before the output is written, with nothing on stderr.  All potentially
 large integers are serialized as decimal strings, and output is
 byte-identical across runs for identical arguments.
 """
@@ -10,6 +12,7 @@ import argparse
 import csv
 import functools
 import json
+import os
 import sys
 from typing import Optional
 
@@ -266,7 +269,16 @@ def main(argv=None) -> int:
     if digit_limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader went away (say `| head -1`); point stdout at devnull so
+        # that the flush at interpreter exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except ConstructionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

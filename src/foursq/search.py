@@ -4,16 +4,17 @@ Strategy: enumerate every pair 2 <= a < b <= bound with ab+1 = r^2 by its
 smaller element a.  b > a is r > a, b <= bound is r <= isqrt(a*bound+1),
 and b = (r^2-1)/a is an integer exactly when r^2 == 1 (mod a), so the pairs
 of a are r = u + k*a (k >= 1) for the unit roots u of a, which CRT builds
-from a's factorization through a smallest-prime-factor sieve.  For each
-pair, every c > b with ac+1 = s^2 and bc+1 = t^2 solves the Pell-type
-equation a*t^2 - b*s^2 = a - b, whose solutions fall into orbits under the
-unit r + sqrt(ab).  Each orbit holds a small seed (Nagell's bound, see
-`pell_orbit`), so the census tests a handful of seeds per pair and follows
-their orbits up to the bound.  Each iterate (t, s) gives c = (s^2-1)/a with
-bc+1 = t^2 by construction (checked, not searched for) and an exact square
-test of abc+1.  A compiled kernel covers the same scan for bounds whose
-arithmetic fits in 64 bits (up to its exported MAX_BOUND); the pure-Python
-path is the fallback and the reference for it.
+while it divides the prime powers out of a by a smallest-prime-factor
+sieve.  For each pair, every c > b with ac+1 = s^2 and bc+1 = t^2 solves
+the Pell-type equation a*t^2 - b*s^2 = a - b, whose solutions fall into
+orbits under the unit r + sqrt(ab).  Each orbit holds a small seed
+(Nagell's bound, see `pell_orbit`), so the census tests a handful of seeds
+per pair and follows their orbits up to the bound.  Each iterate (t, s)
+gives c = (s^2-1)/a with bc+1 = t^2 by construction (checked, not searched
+for) and an exact square test of abc+1.  A compiled kernel makes the same
+scan, step for step, for bounds whose arithmetic fits in 64 bits (up to its
+exported MAX_BOUND); the pure-Python path is the fallback and the reference
+for it, and both return the same raw triples in the same order.
 
 `brute_oracle` is the deliberately dumb cross-check: double pair loop plus a
 full scan of c, never sharing code with the fast path.
@@ -103,50 +104,45 @@ def spf_sieve(limit: int) -> List[int]:
     return spf
 
 
-def factorize(n: int, spf: List[int]) -> List[Tuple[int, int]]:
-    """Prime factorization via a precomputed sieve; n must be within it."""
-    out = []
-    while n > 1:
-        p = spf[n]
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        out.append((p, e))
-    return out
-
-
 def unit_square_roots(m: int, spf: List[int]) -> Tuple[int, ...]:
-    """All t in [0, m) with t^2 == 1 (mod m), by CRT over prime powers."""
-    if m == 1:
-        return (0,)
-    roots = [(0, 1)]  # (residue, modulus so far)
-    for p, e in factorize(m, spf):
-        pe = p ** e
-        if p != 2:
-            local = (1, pe - 1)
-        elif e == 1:
+    """All t in [0, m) with t^2 == 1 (mod m), for m within the sieve, by CRT
+    over the prime powers of m.
+
+    Each prime power p^e is divided out of m by its smallest prime from the
+    sieve, and every root so far, modulo the product of the powers before
+    it, is lifted to each of the roots 1, p^e-1 (and p^e/2-1, p^e/2+1 for
+    p^e >= 8) modulo p^e, in that order: 2 roots mod an odd prime power,
+    and 1, 2 or 4 mod 2, 4 or a higher power of 2.  The roots come in this
+    CRT order, unsorted, the order of the kernel's `unit_roots`.
+    """
+    roots = [0]
+    mod = 1  # the product of the prime powers lifted to so far
+    while m > 1:
+        p = spf[m]
+        pe = 1
+        while m % p == 0:
+            m //= p
+            pe *= p
+        if pe == 2:
             local = (1,)
-        elif e == 2:
-            local = (1, 3)
+        elif p != 2 or pe == 4:
+            local = (1, pe - 1)
         else:
             half = pe // 2
-            local = (1, half - 1, half + 1, pe - 1)
-        new_roots = []
-        for res, mod in roots:
-            # CRT: z == res (mod mod) and z == l (mod pe)
-            inv = pow(mod, -1, pe)
-            for l in local:
-                z = res + mod * ((l - res) * inv % pe)
-                new_roots.append((z % (mod * pe), mod * pe))
-        roots = new_roots
-    return tuple(sorted(z for z, _ in roots))
+            local = (1, pe - 1, half - 1, half + 1)
+        # CRT: z == res (mod mod) and z == l (mod pe), with z < mod * pe
+        inv = pow(mod, -1, pe)
+        roots = [res + mod * ((l - res) * inv % pe)
+                 for res in roots for l in local]
+        mod *= pe
+    return tuple(roots)
 
 
 def find_pairs(bound: int, a_lo: int = 2, a_hi: Optional[int] = None
                ) -> Iterator[Tuple[int, int, int]]:
     """Yield every (a, b, r) with 2 <= a < b <= bound, a_lo <= a < a_hi and
-    ab+1 = r^2, ordered by a and then by r.
+    ab+1 = r^2: by ascending a, then root by root of a in the CRT order of
+    `unit_square_roots`, then by ascending r, the order of the kernel.
 
     b > a is r > a, and b <= bound is r <= s_max = isqrt(a*bound+1); b is an
     integer exactly when r^2 == 1 (mod a).  So the pairs of a are
@@ -160,12 +156,8 @@ def find_pairs(bound: int, a_lo: int = 2, a_hi: Optional[int] = None
     spf = spf_sieve(max(a_hi - 1, 1))  # every a < a_hi, and no further
     for a in range(max(a_lo, 2), a_hi):
         s_max = isqrt(a * bound + 1)
-        roots = unit_square_roots(a, spf)
-        for base in range(a, s_max, a):
-            for u in roots:
-                r = base + u
-                if r > s_max:
-                    break
+        for u in unit_square_roots(a, spf):
+            for r in range(a + u, s_max + 1, a):
                 yield a, (r * r - 1) // a, r
 
 
@@ -224,10 +216,12 @@ def _census_chunk_py(bound: int, a_lo: int, a_hi: int
     """Scan the pairs with a in [a_lo, a_hi); return raw triples and
     counters.
 
-    Raw triples are (a, b, c, r_ab, r_ac, r_bc, r_abc) tuples.  The compiled
-    kernel returns the same tuples, possibly in another order, and the same
-    counters: pairs scanned, and candidates tested (seeds tested plus orbit
-    iterates tested).
+    Raw triples are (a, b, c, r_ab, r_ac, r_bc, r_abc) tuples, in the order
+    the scan meets them: pairs in `find_pairs` order, seeds ascending, the
+    orbit of (t0, s0) before that of (-t0, s0).  The compiled kernel's
+    `census_chunk` makes the same scan and returns the same list and the
+    same counters: pairs scanned, and candidates tested (seeds tested plus
+    orbit iterates tested).
     """
     found = []
     pairs = 0

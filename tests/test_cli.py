@@ -437,6 +437,22 @@ def test_module_entry_point_subprocess(argv, code):
     assert proc.returncode == code
 
 
+def test_closed_stdout_ends_quietly_with_sigpipe_status():
+    # about 1 MB of CSV, far more than a pipe buffers: the CLI is still
+    # writing when the reader closes its end after one line
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "foursq", "gen", "0", "300", "both",
+         "--format", "csv"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"n,variant,a,r,b,c,s,admissible\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
+
+
 @pytest.mark.parametrize("argv", [
     "gen -5 5 both --format json", "prove --format json"])
 def test_stdout_is_the_same_under_python_O(argv):

@@ -12,8 +12,7 @@ import pytest
 from foursq import (DomainError, brute_oracle, find_pairs, make_companion,
                     make_main, search, search_triples, verify_four)
 from foursq.search import (ORACLE_MAX_BOUND, _census_chunk_py, _chunk_plan,
-                           factorize, pell_orbit, spf_sieve,
-                           unit_square_roots)
+                           pell_orbit, spf_sieve, unit_square_roots)
 
 SECTION1 = [
     (5, 7, 24), (8, 45, 91), (8, 105, 171), (3, 133, 176), (11, 105, 184),
@@ -24,9 +23,9 @@ SECTION1 = [
 
 def test_spf_sieve_and_factorize():
     spf = spf_sieve(100)
-    assert factorize(60, spf) == [(2, 2), (3, 1), (5, 1)]
-    assert factorize(97, spf) == [(97, 1)]
-    assert factorize(1, spf) == []
+    assert spf[:2] == [0, 1]
+    assert all(spf[n] == min(p for p in range(2, n + 1) if n % p == 0)
+               for n in range(2, 101))
 
 
 def divisors(factors):
@@ -49,10 +48,15 @@ def test_divisors():
 
 
 def test_unit_square_roots_against_brute_force():
-    spf = spf_sieve(400)
-    for m in range(2, 301):
-        want = tuple(t for t in range(m) if t * t % m == 1)
-        assert unit_square_roots(m, spf) == want
+    # the roots come in CRT order, so compare them sorted; 120120 is the
+    # first m with 128 roots, 510510 has seven distinct primes
+    spf = spf_sieve(510_510)
+    for m in [*range(2, 301), 120_120, 510_510]:
+        want = [t for t in range(m) if t * t % m == 1]
+        assert sorted(unit_square_roots(m, spf)) == want
+    # in CRT order, the kernel's: 1, 7, 3, 5 mod 8, each lifted to the
+    # roots 1, 2 mod 3 in turn
+    assert unit_square_roots(24, spf) == (1, 17, 7, 23, 19, 11, 13, 5)
 
 
 def test_find_pairs_bound_10():
@@ -104,7 +108,13 @@ def test_find_pairs_matches_double_loop_oracle(bound, pairs_to_300):
     want = {(a, b, r) for a, b, r in pairs_to_300 if b <= bound}
     got = list(find_pairs(bound))
     assert set(got) == want
-    assert got == sorted(got)
+    # ascending a; within each a, the pairs of each root class r mod a
+    # come in ascending r (the classes come in CRT order)
+    assert [a for a, _, _ in got] == sorted(a for a, _, _ in got)
+    last = {}
+    for a, _, r in got:
+        assert r > last.get((a, r % a), 0), (a, r)
+        last[a, r % a] = r
 
 
 def test_pell_orbit_finds_every_c_of_a_pair():
@@ -216,31 +226,30 @@ def test_kernel_matches_pure_python(bound, kernel, monkeypatch):
     assert fast.stats.candidates_tested == pure.stats.candidates_tested
 
 
-def _sorted_chunk(chunk):
-    found, pairs, candidates = chunk
-    return sorted(found), pairs, candidates
-
-
 @pytest.mark.parametrize("bound", [*range(3, 401), 2000, 10_000])
 def test_kernel_chunk_equals_pure_chunk(bound, kernel):
-    # the same raw triples, in any order, and the same counters; every
+    # the same raw triples in the same order, and the same counters; every
     # bound to 400, so pairs with b = bound and with s_max = r occur
-    assert (_sorted_chunk(kernel.census_chunk(bound, 2, bound - 1))
-            == _sorted_chunk(_census_chunk_py(bound, 2, bound - 1)))
+    assert (kernel.census_chunk(bound, 2, bound - 1)
+            == _census_chunk_py(bound, 2, bound - 1))
 
 
-@pytest.mark.parametrize("a_lo,a_hi,counts", [
+# a-windows at the kernel's MAX_BOUND, where its 64-bit ranges are widest,
+# with the pure path's counts: the first holds (533, 509736, 543235), the
+# second has b and c near the bound, the third holds a = 120120, the first
+# a with 128 unit roots
+CAP_WINDOWS = [
     (500, 600, (2, 25_358, 61_135)),
     (1_499_000, 1_500_000, (0, 999, 996)),
-])
+    (120_000, 120_200, (0, 4_285, 7_088)),
+]
+
+
+@pytest.mark.parametrize("a_lo,a_hi,counts", CAP_WINDOWS)
 def test_kernel_chunk_equals_pure_chunk_at_the_kernel_cap(kernel, a_lo, a_hi,
                                                           counts):
-    # at the kernel's MAX_BOUND its 64-bit ranges are widest: the first
-    # a-window holds (533, 509736, 543235), the second has b and c near the
-    # bound; the counts are the pure path's
-    pure = _sorted_chunk(_census_chunk_py(kernel.MAX_BOUND, a_lo, a_hi))
-    assert _sorted_chunk(kernel.census_chunk(kernel.MAX_BOUND, a_lo,
-                                             a_hi)) == pure
+    pure = _census_chunk_py(kernel.MAX_BOUND, a_lo, a_hi)
+    assert kernel.census_chunk(kernel.MAX_BOUND, a_lo, a_hi) == pure
     assert (len(pure[0]), pure[1], pure[2]) == counts
 
 
@@ -274,18 +283,19 @@ def _pairs_by_divisors(bound):
     """The pairs a < b <= bound with ab+1 = r^2, counted over r, where
     `find_pairs` takes them over a from the unit roots of a: the pairs of r
     are the divisors a of n = r^2-1 with a < n/a (that is a < r) and
-    n/a <= bound.  Only the sieve and `factorize` are shared."""
+    n/a <= bound.  Only the sieve is shared."""
     r_max = math.isqrt(bound * (bound - 1) + 1)
     spf = spf_sieve(r_max + 1)
     count = 0
     for r in range(3, r_max + 1):
         n = r * r - 1
         a_lo = max(2, -(-n // bound))
-        factors = factorize(r - 1, spf) + factorize(r + 1, spf)
-        merged = {}
-        for p, e in factors:
-            merged[p] = merged.get(p, 0) + e
-        count += sum(a_lo <= d < r for d in divisors(list(merged.items())))
+        exponents = {}
+        for m in (r - 1, r + 1):
+            while m > 1:
+                exponents[spf[m]] = exponents.get(spf[m], 0) + 1
+                m //= spf[m]
+        count += sum(a_lo <= d < r for d in divisors(exponents.items()))
     return count
 
 
@@ -304,12 +314,11 @@ def test_kernel_chunk_edges(kernel):
              bound + 50]
     parts = []
     for a_lo, a_hi in zip(edges, edges[1:]):
-        part = _sorted_chunk(kernel.census_chunk(bound, a_lo, a_hi))
-        assert part == _sorted_chunk(_census_chunk_py(bound, a_lo, a_hi)), (
-            a_lo, a_hi)
+        part = kernel.census_chunk(bound, a_lo, a_hi)
+        assert part == _census_chunk_py(bound, a_lo, a_hi), (a_lo, a_hi)
         parts.append(part)
-    whole = _sorted_chunk(kernel.census_chunk(bound, edges[0], edges[-1]))
-    assert sorted(t for found, _, _ in parts for t in found) == whole[0]
+    whole = kernel.census_chunk(bound, edges[0], edges[-1])
+    assert [t for found, _, _ in parts for t in found] == whole[0]
     assert sum(p for _, p, _ in parts) == whole[1]
     assert sum(c for _, _, c in parts) == whole[2]
     assert kernel.census_chunk(bound, 900, 800) == ([], 0, 0)
@@ -331,7 +340,7 @@ def _use_kernel(monkeypatch, kernel):
     monkeypatch.setattr(search, "Pool", no_pool)
 
 
-@pytest.mark.parametrize("cap", ["MAX_FACTORS", "MAX_ROOTS"])
+@pytest.mark.parametrize("cap", ["MAX_ROOTS"])
 def test_kernel_capacity_overflow_raises(build_kernel, cap, monkeypatch):
     small = build_kernel(**{cap: 2})
     with pytest.raises(RuntimeError, match=cap):
@@ -342,8 +351,62 @@ def test_kernel_capacity_overflow_raises(build_kernel, cap, monkeypatch):
         search_triples(2000, jobs=2)
 
 
+def test_kernel_root_bound_holds_at_the_cap(build_kernel):
+    # the header's bound: below MAX_BOUND no a has more than 128 unit
+    # roots, so a kernel with room for 128 runs the whole census at the cap
+    # to its golden counts, while one with room for 64 overflows at
+    # a = 120120, the first a with 128 roots, and not before it
+    tight = build_kernel(MAX_ROOTS=128)
+    bound = tight.MAX_BOUND
+    found, pairs, candidates = tight.census_chunk(bound, 2, bound - 1)
+    assert len({t[:3] for t in found}) == 27
+    assert (pairs, candidates) == (12_331_025, 18_702_412)
+    half = build_kernel(MAX_ROOTS=64)
+    half.census_chunk(bound, 120_119, 120_120)
+    with pytest.raises(RuntimeError, match="MAX_ROOTS"):
+        half.census_chunk(bound, 120_120, 120_121)
+
+
 def test_kernel_compiles_without_warnings(build_kernel, kernel):
     assert build_kernel("-Wall", "-Werror").MAX_BOUND == kernel.MAX_BOUND
+
+
+# loads the kernel at argv[1] and compares it with the pure path on the
+# (bound, a_lo, a_hi) windows that argv[2] lists
+UBSAN_CHECK = """
+import ast, importlib.util, sys
+from foursq.search import _census_chunk_py
+spec = importlib.util.spec_from_file_location("foursq._kernel", sys.argv[1])
+kernel = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(kernel)
+for window in ast.literal_eval(sys.argv[2]):
+    assert kernel.census_chunk(*window) == _census_chunk_py(*window), window
+"""
+
+
+def test_kernel_under_ubsan_equals_pure_chunk(build_kernel):
+    """A kernel built with gcc's undefined-behaviour sanitizer returns the
+    pure path's list on the full range at 20,000 and on the a-windows at the
+    cap.  gcc's UBSan checks signed overflow, which in the kernel is the
+    int64_t orbit step of follow_orbit; it does not check the wrap of
+    unsigned arithmetic, which C defines.  -fno-wrapv undoes the -fwrapv
+    (or -fno-strict-overflow) of CPython's own CFLAGS, under which gcc
+    drops the signed overflow check.  With -fno-sanitize-recover=all a
+    report ends the process, so the check runs in a child process, whose
+    stderr carries the report."""
+    try:
+        ubsan = build_kernel("-O1", "-fsanitize=undefined",
+                             "-fno-sanitize-recover=all", "-fno-wrapv")
+    except (AssertionError, ImportError, OSError) as exc:
+        pytest.skip(f"the compiler cannot build or load a UBSan kernel: {exc}")
+    windows = [(20_000, 2, 19_999)] + [
+        (ubsan.MAX_BOUND, a_lo, a_hi) for a_lo, a_hi, _ in CAP_WINDOWS]
+    src = Path(search.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", UBSAN_CHECK, ubsan.__file__, repr(windows)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_failed_kernel_build_warns_and_succeeds(tmp_path):
