@@ -5,10 +5,13 @@ The package is fully functional without the extension.  The kernel is an
 "foursq._kernel" failed: ...`) and the pure-Python search path is selected
 at import time.
 
+The kernel compiles with the interpreter's own flags, so an -O level given in
+CFLAGS is the last on the compiler's command line and takes effect.
+
 Build in place for a source checkout:  python setup.py build_ext --inplace
 """
 
 from setuptools import Extension, setup
 
 setup(ext_modules=[Extension("foursq._kernel", ["src/foursq/_kernel.c"],
-                             extra_compile_args=["-O2"], optional=True)])
+                             optional=True)])

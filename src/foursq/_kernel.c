@@ -17,9 +17,10 @@
  * a as in search.unit_square_roots.  A pair has b >= a+2 (a^2 < a(a+1)+1 <
  * (a+1)^2), so a chunk's a-window lies in [2, bound-1).
  *
- * S >= 1 for every pair: ab+1 = r^2 rules out b = a+1, so b >= a+2, and
- * then r <= (a+b)/2, so a(b-a) - 2(r-1) >= (a-1)(b-a-2) >= 0.  Hence
- * C = (S^2-1)/a never wraps.
+ * The seed bound X = a(b-a)/(2(r-1)) is at least 1 for every pair:
+ * ab+1 = r^2 rules out b = a+1, so b >= a+2, and then r <= (a+b)/2, so
+ * a(b-a) - 2(r-1) >= (a-1)(b-a-2) >= 0.  So the seed scan always takes
+ * c0 = 0.
  *
  * The root of bc+1 is the orbit's t: every iterate solves
  * a*t^2 - b*s^2 = a - b, and s^2 == 1 (mod a) holds for s0 and is kept by
@@ -36,17 +37,17 @@
  * products stay below a^2 < 2.25e12, and a root it builds, res + M*t with
  * res < M and t < p^e, is below M*p^e <= a.  r <= s_max <= bound, so
  * r*r - 1 < 2.25e12, s_max's a*bound + 1 < 2.25e12, and b = (r^2-1)/a <=
- * bound.  With r >= 3 the seed scan's a*c0 + 1 <= S^2 <= a(b-a)/4 <= b^2/16
- * < 1.5e11 and b*c0 + 1 <= b(b-a)/(2(r-1)) + 1 <= b^2/4 + 1 < 5.7e11.  The
+ * bound.  With r >= 3 the seed scan's a*c0 + 1 <= X <= a(b-a)/4 <= b^2/16
+ * < 1.5e11, its last product, the a*c0 + 1 <= X + a that ends the loop,
+ * stays far below 2^63, and b*c0 + 1 <= b*X/a + 1 <= b^2/4 + 1 < 5.7e11.  The
  * orbit iterate (t, s) is signed (t starts at -t0 on one side).  An iterate
  * with s <= s_max has |t| < s * sqrt(b/a), since a*t^2 = b*s^2 - (b-a); so
  * the one step taken past s_max gives s' = a*t + r*s < 2*r*s_max and
  * t' = r*t + b*s < (2*b + 1)*s_max, both below about 4.5e12, far under
  * 2^63, and a candidate's t*t = bc+1 <= bound^2 + 1.  Every isqrt64
  * argument is below 2^63, so it converts through int64_t: s_max's
- * a*bound + 1 is below 2.25e12, the seed bound a(b-a)/(2(r-1)) <= b^2/16 is
- * below 1.5e11, and the square tests take a*c0 + 1 < 1.5e11,
- * b*c0 + 1 < 5.7e11 and abc+1 < bound^3 < 3.4e18.
+ * a*bound + 1 is below 2.25e12, and the square tests take
+ * a*c0 + 1 < 1.5e11, b*c0 + 1 < 5.7e11 and abc+1 < bound^3 < 3.4e18.
  *
  * Threads: census_chunk releases the GIL for the sieve and the whole scan,
  * and takes it back only to append a found triple (rare) and for the
@@ -248,25 +249,24 @@ follow_orbit(u64 a, u64 b, u64 r, u64 s_max, int64_t t, int64_t s,
     }
 }
 
-/* Test the seeds s0 <= S of the pair (a, b, r), those with
-   s0^2 == 1 (mod a), and follow the orbits of the ones with
-   b*c0 + 1 = t0^2, c0 = (s0^2-1)/a.  The seed search is search.pell_orbit's:
-   scan c0 = 0..C, C = (S^2-1)/a, for a square a*c0 + 1 = s0^2, C+1 tests
-   where s0 = 1..S would take S.  c0 and s0 rise together, so the seeds
-   come in ascending order, and each is followed from (t0, s0), then from
-   (-t0, s0).  Returns 0, or -1 with a Python exception set. */
+/* Test the seeds of the pair (a, b, r), the s0 with
+   s0^2 = a*c0 + 1 <= X = a(b-a)/(2(r-1)), and follow the orbits of the ones
+   with b*c0 + 1 = t0^2.  The seed search is search.pell_orbit's: scan c0
+   from 0 while a*c0 + 1 <= X, taking c0 = 0 as the seed (1, 1) untested.
+   c0 and s0 rise together, so the seeds come in ascending order, and each
+   is followed from (t0, s0), then from (-t0, s0).  Returns 0, or -1 with a
+   Python exception set. */
 static int
 pell_orbit(u64 a, u64 b, u64 r, u64 s_max, PyObject *found, u64 *candidates)
 {
-    u64 seed_max = isqrt64(a * (b - a) / (2 * (r - 1)));
-    u64 c0_max = (seed_max * seed_max - 1) / a;
-    u64 s0, c0, t0;
+    u64 seed_sq_max = a * (b - a) / (2 * (r - 1));
+    u64 s0 = 1, t0 = 1, c0;
 
-    for (c0 = 0; c0 <= c0_max; c0++) {
-        if (!square_root(a * c0 + 1, &s0))
+    for (c0 = 0; a * c0 + 1 <= seed_sq_max; c0++) {
+        if (c0 > 0 && !square_root(a * c0 + 1, &s0))
             continue;
         (*candidates)++;
-        if (square_root(b * c0 + 1, &t0)
+        if ((c0 == 0 || square_root(b * c0 + 1, &t0))
                 && (follow_orbit(a, b, r, s_max, (int64_t)t0, (int64_t)s0,
                                  found, candidates) < 0
                     || follow_orbit(a, b, r, s_max, -(int64_t)t0,

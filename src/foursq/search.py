@@ -171,12 +171,15 @@ def pell_orbit(a: int, b: int, r: int, s_max: int
     a this is (at)^2 - ab*s^2 = -a(b-a); the step
     (t, s) <- (r*t + b*s, a*t + r*s) is multiplication by the norm-1 unit
     r + sqrt(ab), and each orbit of solutions under it (with its conjugate)
-    holds a seed with 1 <= s0 <= S = sqrt(a(b-a) / (2(r-1))) (T. Nagell,
-    Introduction to Number Theory, 1951, Thm 108a; Dujella and Petho,
-    Quart. J. Math. 49, 1998).  The seeds are the s0 with a*c0+1 = s0^2 and
-    b*c0+1 = t0^2 for c0 = 0..(S^2-1)/a, the scan the kernel makes too; both
-    (t0, s0) and (-t0, s0) are followed.  Seeds have s0 < r, so none is a
-    candidate.
+    holds a seed with s0^2 <= a(b-a) / (2(r-1)) (T. Nagell, Introduction to
+    Number Theory, 1951, Thm 108a; Dujella and Petho, Quart. J. Math. 49,
+    1998); for an integer s0 that is s0^2 <= X = a(b-a) // (2(r-1)).  So the
+    seeds are the s0 with a*c0+1 = s0^2 <= X and b*c0+1 = t0^2, scanned over
+    c0 = 0, 1, ... while a*c0+1 <= X, as the kernel scans them; c0 = 0 is
+    the seed (s0, t0) = (1, 1), taken without a test.  X >= 1 for every
+    pair (b >= a+2 and r <= (a+b)/2 give a(b-a) >= 2(r-1)), so c0 = 0 is
+    always scanned.  Both (t0, s0) and (-t0, s0) are followed.  Seeds have
+    s0 < r, so none is a candidate.
 
     Termination: one step from either seed gives t > 0 and s > 0 (from
     (-t0, s0) because s0 is within the bound above, which makes
@@ -190,15 +193,15 @@ def pell_orbit(a: int, b: int, r: int, s_max: int
     (a*t + r*s == r*s and r^2 == 1 (mod a)), so bc+1 = (b*s^2 - b + a)/a.
     The caller still checks t*t == bc+1, and tests abc+1.
     """
-    seed_max = isqrt(a * (b - a) // (2 * (r - 1)))
+    seed_sq_max = a * (b - a) // (2 * (r - 1))
     seeds = 0
     found = []
-    for c0 in range((seed_max * seed_max - 1) // a + 1):
-        s0 = perfect_square_root(a * c0 + 1)
+    for c0 in range((seed_sq_max - 1) // a + 1):
+        s0 = perfect_square_root(a * c0 + 1) if c0 else 1
         if s0 is None:
             continue
         seeds += 1
-        t0 = perfect_square_root(b * c0 + 1)
+        t0 = perfect_square_root(b * c0 + 1) if c0 else 1
         if t0 is None:
             continue
         for t, s in ((t0, s0), (-t0, s0)):

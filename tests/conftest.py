@@ -18,7 +18,8 @@ def build_kernel(tmp_path_factory):
     """A function that compiles the checkout's `_kernel.c` with the
     checkout's `setup.py` into a temporary directory and imports it, with
     extra compiler flags from its positional arguments and C macros set from
-    its keyword arguments.
+    its keyword arguments.  The module's `build_log` is the build's
+    stdout.
 
     Skipped only when no C compiler exists; a compiler that fails to build
     the kernel is a test failure.
@@ -41,6 +42,7 @@ def build_kernel(tmp_path_factory):
         spec = importlib.util.spec_from_file_location("foursq._kernel", built[0])
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
+        module.build_log = proc.stdout  # holds the compiler's command lines
         return module
     return build
 

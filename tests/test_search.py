@@ -21,7 +21,7 @@ SECTION1 = [
 ]
 
 
-def test_spf_sieve_and_factorize():
+def test_spf_sieve():
     spf = spf_sieve(100)
     assert spf[:2] == [0, 1]
     assert all(spf[n] == min(p for p in range(2, n + 1) if n % p == 0)
@@ -67,7 +67,8 @@ def test_find_pairs_bound_10():
 
 @pytest.mark.parametrize("bound,a_lo,a_hi", [
     (10, 3, 10**8), (1000, 3, 2_000_000), (1000, 5000, 10**9)])
-def test_pure_census_clamps_r_range_to_r_max(monkeypatch, bound, a_lo, a_hi):
+def test_pure_census_clamps_a_window_to_the_bound(monkeypatch, bound, a_lo,
+                                                  a_hi):
     # the windows are of a: no pair has a >= bound-1, so an a_hi past it
     # must not size the sieve; the check runs before the build, so a huge
     # sieve fails fast
@@ -158,19 +159,32 @@ def test_pell_orbit_seeds_step_to_positive_increasing_iterates():
 
 
 def test_seed_scans_over_s0_and_c0_agree():
-    # both census paths scan c0 for their seeds: every pair has S >= 1, and
-    # the s0 with a*c0+1 = s0^2 for c0 <= (S^2-1)/a are exactly the s0 <= S
-    # with s0^2 == 1 (mod a), in the same order, and pell_orbit tests each
-    # of them once
+    # both census paths scan c0 for their seeds while a*c0+1 <= X =
+    # a(b-a) // (2(r-1)): every pair has X >= 1, and the s0 with
+    # a*c0+1 = s0^2 for those c0 are exactly the s0 <= isqrt(X) with
+    # s0^2 == 1 (mod a), in the same order, and pell_orbit tests each of
+    # them once
     for a, b, r in find_pairs(2000):
-        seed_max = math.isqrt(a * (b - a) // (2 * (r - 1)))
-        assert seed_max >= 1, (a, b, r)
-        by_s0 = [s0 for s0 in range(1, seed_max + 1) if s0 * s0 % a == 1]
+        seed_sq_max = a * (b - a) // (2 * (r - 1))
+        assert seed_sq_max >= 1, (a, b, r)
+        by_s0 = [s0 for s0 in range(1, math.isqrt(seed_sq_max) + 1)
+                 if s0 * s0 % a == 1]
         by_c0 = [math.isqrt(a * c0 + 1)
-                 for c0 in range((seed_max * seed_max - 1) // a + 1)
+                 for c0 in range((seed_sq_max - 1) // a + 1)
                  if math.isqrt(a * c0 + 1) ** 2 == a * c0 + 1]
         assert by_c0 == by_s0, (a, b, r)
         assert pell_orbit(a, b, r, r + 1)[0] == len(by_s0), (a, b, r)
+
+
+def test_seeds_on_the_bound_are_taken(kernel):
+    # seeds with s0^2 = X exactly, which a scan that stopped short of X
+    # would miss: (2, 4, 3) has X = 1, so its only seed is c0 = 0, and
+    # (2, 180, 19) has X = 9, so its seeds are s0 = 1 and s0 = 3 (c0 = 4).
+    # No pair up to 20,000 has a seed (s0, t0) with c0 >= 1 on the bound.
+    assert pell_orbit(2, 4, 3, 4)[0] == 1
+    assert pell_orbit(2, 180, 19, 20)[0] == 2
+    # a = 2 at a bound where (2, 180, 19) has r < s_max
+    assert kernel.census_chunk(200, 2, 3) == _census_chunk_py(200, 2, 3)
 
 
 def test_search_small_censuses():
@@ -371,6 +385,17 @@ def test_kernel_compiles_without_warnings(build_kernel, kernel):
     assert build_kernel("-Wall", "-Werror").MAX_BOUND == kernel.MAX_BOUND
 
 
+def test_cflags_set_the_kernel_optimization_level(build_kernel):
+    # setup.py adds no -O of its own, so the last -O of the compile command,
+    # the one the compiler takes, is the one CFLAGS gives
+    o1 = build_kernel("-O1")
+    compile_command, = [line for line in o1.build_log.splitlines()
+                        if " -c " in line and "_kernel.c" in line]
+    levels = [flag for flag in compile_command.split()
+              if flag.startswith("-O")]
+    assert levels[-1] == "-O1", compile_command
+
+
 # loads the kernel at argv[1] and compares it with the pure path on the
 # (bound, a_lo, a_hi) windows that argv[2] lists
 UBSAN_CHECK = """
@@ -508,7 +533,7 @@ def test_interrupt_stops_a_threaded_census(kernel, monkeypatch):
 
 @pytest.mark.parametrize("bound,jobs", [
     (3, 2), (4, 2), (24, 4), (750, 3), (50_000, 2), (100, 10**9)])
-def test_chunk_plan_tiles_the_r_range(bound, jobs):
+def test_chunk_plan_tiles_the_a_range(bound, jobs):
     # the chunks tile the a-range [2, bound-1) of the pairs; one worker per
     # chunk at most, so the plan bounds the threads or processes a census
     # starts, whatever --jobs says
