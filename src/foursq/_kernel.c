@@ -5,10 +5,11 @@
  * census_chunk follows search._census_chunk_py step for step and returns
  * the same list: the same raw triples in the same order, and the same
  * counters; the test suite enforces that equality.  For each a, both paths
- * divide out its prime powers by the sieve while they lift its unit roots
- * by CRT (see unit_roots), walk its pairs root by root in that CRT order
- * and then by ascending r, and find the seeds of each pair's orbits by the
- * same scan of c0 = (s0^2-1)/a from c0 = 0 (see pell_orbit).
+ * divide out its prime powers by the sieve while they build its unit roots
+ * as sums of CRT basis elements (see unit_roots), walk its pairs root by
+ * root in that CRT order and then by ascending r, and find the seeds of
+ * each pair's orbits by the same scan of c0 = (s0^2-1)/a from c0 = 0 (see
+ * pell_orbit).
  *
  * Pairs by their smaller element a: b > a is r > a, and b <= bound is
  * r <= s_max = isqrt(a*bound + 1); b = (r^2-1)/a is an integer exactly when
@@ -32,15 +33,17 @@
  * MAX_BOUND is set here only: the module exports it, and
  * search.census_path sends larger bounds to the pure path.
  *
- * Ranges for bound <= MAX_BOUND: a < bound <= 1.5e6.  The CRT step of
- * unit_roots multiplies two residues below a prime power p^e <= a, so its
- * products stay below a^2 < 2.25e12, and a root it builds, res + M*t with
- * res < M and t < p^e, is below M*p^e <= a.  r <= s_max <= bound, so
- * r*r - 1 < 2.25e12, s_max's a*bound + 1 < 2.25e12, and b = (r^2-1)/a <=
- * bound.  With r >= 3 the seed scan's a*c0 + 1 <= X <= a(b-a)/4 <= b^2/16
- * < 1.5e11, its last product, the a*c0 + 1 <= X + a that ends the loop,
- * stays far below 2^63, and b*c0 + 1 <= b*X/a + 1 <= b^2/4 + 1 < 5.7e11.  The
- * orbit iterate (t, s) is signed (t starts at -t0 on one side).  An iterate
+ * Ranges for bound <= MAX_BOUND: a < bound <= 1.5e6.  unit_roots works in
+ * u32: a, p^e, the cofactor co = a/p^e, the inverse of co mod p^e and
+ * every partial sum (below 2a) fit while a < 2^31.  The basis element
+ * B = co * (co^-1 mod p^e) < co * p^e = a, and a term l*B with l < p^e,
+ * below a^2 < 2.25e12, is its only 64-bit product.  A cap of 1e7 keeps all
+ * of these (a^2 < 1e14).  r <= s_max <= bound, so r*r - 1 < 2.25e12,
+ * s_max's a*bound + 1 < 2.25e12, and b = (r^2-1)/a <= bound.  With r >= 3
+ * the seed scan's a*c0 + 1 <= X <= a(b-a)/4 <= b^2/16 < 1.5e11, its last
+ * product, the a*c0 + 1 <= X + a that ends the loop, stays far below
+ * 2^63, and b*c0 + 1 <= b*X/a + 1 <= b^2/4 + 1 < 5.7e11.  The orbit
+ * iterate (t, s) is signed (t starts at -t0 on one side).  An iterate
  * with s <= s_max has |t| < s * sqrt(b/a), since a*t^2 = b*s^2 - (b-a); so
  * the one step taken past s_max gives s' = a*t + r*s < 2*r*s_max and
  * t' = r*t + b*s < (2*b + 1)*s_max, both below about 4.5e12, far under
@@ -135,58 +138,61 @@ build_spf(u64 limit)
     return spf;
 }
 
-/* x^-1 mod m, for gcd(x, m) = 1, by the extended Euclidean algorithm. */
-static u64
-inv_mod(u64 x, u64 m)
+/* x^-1 mod m, for gcd(x, m) = 1 and m < 2^31, by the extended Euclidean
+   algorithm.  The coefficients alternate in sign and grow in size up to
+   the last, +-m, so |t| <= m and q*|t1| <= |t2| <= m fit in int32_t. */
+static u32
+inv_mod(u32 x, u32 m)
 {
-    u64 r0 = m, r1 = x % m;
-    int64_t t0 = 0, t1 = 1;
+    u32 r0 = m, r1 = x % m;
+    int32_t t0 = 0, t1 = 1;
     while (r1 != 0) {
-        u64 q = r0 / r1, r2 = r0 - q * r1;
-        int64_t t2 = t0 - (int64_t)q * t1;
+        u32 q = r0 / r1, r2 = r0 - q * r1;
+        int32_t t2 = t0 - (int32_t)q * t1;
         r0 = r1;
         r1 = r2;
         t0 = t1;
         t1 = t2;
     }
-    return t0 < 0 ? (u64)(t0 + (int64_t)m) : (u64)t0;
+    return t0 < 0 ? (u32)(t0 + (int32_t)m) : (u32)t0;
 }
 
 /* The t in [0, a) with t^2 == 1 (mod a), for 2 <= a within the sieve,
-   into roots; writes their count.  As in search.unit_square_roots: divide
-   out each prime power p^e of a by its smallest prime from the sieve, and
-   lift every root so far by CRT, with one modular inverse, to each root of
-   p^e in the order 1, p^e-1, p^e/2-1, p^e/2+1: 2 roots mod an odd prime
-   power, and 1, 2 or 4 mod 2, 4 or a higher power of 2.  The lifts of each
-   root follow one another, so the roots come in the reference's order. */
+   into roots; writes their count.  These are the sums of CRT basis
+   elements of search.unit_square_roots, whose docstring states the
+   construction, in the same order: for each prime power p^e of a, the
+   terms l*B mod a of its local roots l, then every partial sum so far
+   extended by each term in turn, with one conditional subtraction of a. */
 static int
-unit_roots(u64 a, const u32 *spf, u64 *roots, int *count)
+unit_roots(u32 a, const u32 *spf, u32 *roots, int *count)
 {
-    u64 mod = 1;
+    u32 rest = a;
     int n = 1;
     roots[0] = 0;
-    while (a > 1) {
-        u64 p = spf[a], pe = 1;
+    while (rest > 1) {
+        u32 p = spf[rest], pe = 1;
         int i, j;
-        while (a % p == 0) {
-            a /= p;
+        while (rest % p == 0) {
+            rest /= p;
             pe *= p;
         }
-        u64 half = pe / 2, inv = inv_mod(mod, pe);
-        u64 local[4] = {1, pe - 1, half - 1, half + 1};
+        u32 co = a / pe, basis = co * inv_mod(co, pe), half = pe / 2;
+        u32 local[4] = {1, pe - 1, half - 1, half + 1}, term[4];
         int nl = pe & 1 ? 2 : pe == 2 ? 1 : pe == 4 ? 2 : 4;
         if (n * nl > MAX_ROOTS)
             return OVERFLOW_ROOTS;
-        /* root i's nl lifts go to slots i*nl.., from the last root down,
-           so each root is read before its slot is overwritten */
+        for (j = 0; j < nl; j++)
+            term[j] = (u32)((u64)local[j] * basis % a);
+        /* partial sum i's nl extensions go to slots i*nl.., from the last
+           sum down, so each sum is read before its slot is overwritten */
         for (i = n - 1; i >= 0; i--) {
-            u64 res = roots[i];
-            for (j = 0; j < nl; j++)
-                roots[i * nl + j] =
-                    res + mod * ((local[j] + pe - res % pe) % pe * inv % pe);
+            u32 res = roots[i];
+            for (j = 0; j < nl; j++) {
+                u32 sum = res + term[j];
+                roots[i * nl + j] = sum >= a ? sum - a : sum;
+            }
         }
         n *= nl;
-        mod *= pe;
     }
     *count = n;
     return OK;
@@ -283,7 +289,8 @@ static int
 scan(u64 bound, u64 a_lo, u64 a_hi, const u32 *spf, PyObject *found,
      u64 *pairs, u64 *candidates)
 {
-    u64 roots[MAX_ROOTS], a;
+    u32 roots[MAX_ROOTS];
+    u64 a;
     int n, i, err;
 
     for (a = a_lo; a < a_hi; a++) {
@@ -292,7 +299,7 @@ scan(u64 bound, u64 a_lo, u64 a_hi, const u32 *spf, PyObject *found,
 
         if ((a & 0xfff) == 0 && check_signals() < 0)
             return -1;
-        if ((err = unit_roots(a, spf, roots, &n)) != OK)
+        if ((err = unit_roots((u32)a, spf, roots, &n)) != OK)
             return err;
         for (i = 0; i < n; i++)
             for (r = roots[i] + a; r <= s_max; r += a) {

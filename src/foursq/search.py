@@ -105,23 +105,34 @@ def spf_sieve(limit: int) -> List[int]:
 
 
 def unit_square_roots(m: int, spf: List[int]) -> Tuple[int, ...]:
-    """All t in [0, m) with t^2 == 1 (mod m), for m within the sieve, by CRT
-    over the prime powers of m.
+    """All t in [0, m) with t^2 == 1 (mod m), for m within the sieve, as
+    sums of CRT basis elements.
 
-    Each prime power p^e is divided out of m by its smallest prime from the
-    sieve, and every root so far, modulo the product of the powers before
-    it, is lifted to each of the roots 1, p^e-1 (and p^e/2-1, p^e/2+1 for
-    p^e >= 8) modulo p^e, in that order: 2 roots mod an odd prime power,
-    and 1, 2 or 4 mod 2, 4 or a higher power of 2.  The roots come in this
-    CRT order, unsorted, the order of the kernel's `unit_roots`.
+    The prime powers p^e of m are divided out of it by their smallest prime
+    from the sieve, the smallest prime first.  The roots mod p^e are 1,
+    p^e-1 (and p^e/2-1, p^e/2+1 for p^e >= 8), in that order: 2 roots mod
+    an odd prime power, and 1, 2 or 4 mod 2, 4 or a higher power of 2.
+    With the cofactor co = m / p^e, the basis element B = co * (co^-1 mod
+    p^e) is 1 mod p^e and 0 mod the other prime powers, and B < m.  So
+    for a choice of one root l_k mod each prime power p_k^e_k,
+    l_1*B_1 + l_2*B_2 + ... is the root of m that is l_k mod every p_k^e_k.
+
+    The terms l*B mod m are computed once per prime power.  The sum is
+    nested, the smallest prime power outermost: each partial sum so far,
+    below m, is extended by each term of the next prime power in turn, and
+    one subtraction of m brings the sum, below 2m, back below m.  So a root
+    costs one addition and one compare, and no division, and the roots come
+    in CRT order, unsorted: the root chosen mod the smallest prime power
+    varies slowest.  The kernel's `unit_roots` builds the same roots in the
+    same order.
     """
     roots = [0]
-    mod = 1  # the product of the prime powers lifted to so far
-    while m > 1:
-        p = spf[m]
+    rest = m  # m with the prime powers taken so far divided out
+    while rest > 1:
+        p = spf[rest]
         pe = 1
-        while m % p == 0:
-            m //= p
+        while rest % p == 0:
+            rest //= p
             pe *= p
         if pe == 2:
             local = (1,)
@@ -130,11 +141,11 @@ def unit_square_roots(m: int, spf: List[int]) -> Tuple[int, ...]:
         else:
             half = pe // 2
             local = (1, pe - 1, half - 1, half + 1)
-        # CRT: z == res (mod mod) and z == l (mod pe), with z < mod * pe
-        inv = pow(mod, -1, pe)
-        roots = [res + mod * ((l - res) * inv % pe)
-                 for res in roots for l in local]
-        mod *= pe
+        co = m // pe
+        basis = co * pow(co, -1, pe)
+        terms = [l * basis % m for l in local]
+        roots = [s - m if (s := res + term) >= m else s
+                 for res in roots for term in terms]
     return tuple(roots)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import signal
@@ -47,15 +48,38 @@ def test_divisors():
     assert divisors([]) == [1]
 
 
+def _roots_in_crt_order(m):
+    """The roots of t^2 == 1 (mod m) in CRT order, found without CRT: for
+    each choice of one root mod each prime power of m, nested with the
+    smallest prime power outermost, the t in [0, m) that is the chosen root
+    mod every prime power, by search.  The roots mod p^e, also found by
+    search, come 1 and p^e-1 first, then the rest ascending."""
+    powers = []
+    rest, p = m, 2
+    while rest > 1:
+        pe = 1
+        while rest % p == 0:
+            rest //= p
+            pe *= p
+        if pe > 1:
+            powers.append(pe)
+        p += 1
+    local = [sorted((l for l in range(pe) if l * l % pe == 1),
+                    key=lambda l, pe=pe: (l not in (1, pe - 1), l))
+             for pe in powers]
+    roots = [t for t in range(m) if t * t % m == 1]
+    return tuple(next(t for t in roots
+                      if all(t % pe == l for pe, l in zip(powers, choice)))
+                 for choice in itertools.product(*local))
+
+
 def test_unit_square_roots_against_brute_force():
-    # the roots come in CRT order, so compare them sorted; 120120 is the
-    # first m with 128 roots, 510510 has seven distinct primes
+    # in CRT order, the kernel's; 120120 is the first m with 128 roots,
+    # 510510 has seven distinct primes
     spf = spf_sieve(510_510)
     for m in [*range(2, 301), 120_120, 510_510]:
-        want = [t for t in range(m) if t * t % m == 1]
-        assert sorted(unit_square_roots(m, spf)) == want
-    # in CRT order, the kernel's: 1, 7, 3, 5 mod 8, each lifted to the
-    # roots 1, 2 mod 3 in turn
+        assert unit_square_roots(m, spf) == _roots_in_crt_order(m), m
+    # 1, 7, 3, 5 mod 8, each extended by the roots 1, 2 mod 3 in turn
     assert unit_square_roots(24, spf) == (1, 17, 7, 23, 19, 11, 13, 5)
 
 
@@ -251,11 +275,19 @@ def test_kernel_chunk_equals_pure_chunk(bound, kernel):
 # a-windows at the kernel's MAX_BOUND, where its 64-bit ranges are widest,
 # with the pure path's counts: the first holds (533, 509736, 543235), the
 # second has b and c near the bound, the third holds a = 120120, the first
-# a with 128 unit roots
+# a with 128 unit roots.  The single a after them take each branch of the
+# unit roots' basis sums: 2^20 (4 roots, cofactor 1), 3^12 (an odd prime
+# power), 510510 (seven distinct primes, 64 roots), 1441440 =
+# 2^5*3^2*5*7*11*13 (128 roots, 4 of them mod 2^5) and the prime 1499977.
 CAP_WINDOWS = [
     (500, 600, (2, 25_358, 61_135)),
     (1_499_000, 1_500_000, (0, 999, 996)),
     (120_000, 120_200, (0, 4_285, 7_088)),
+    (1_048_576, 1_048_577, (0, 1, 1)),
+    (531_441, 531_442, (0, 1, 1)),
+    (510_510, 510_511, (0, 45, 45)),
+    (1_441_440, 1_441_441, (0, 3, 3)),
+    (1_499_977, 1_499_978, (0, 1, 1)),
 ]
 
 
