@@ -3,18 +3,19 @@
 Strategy: enumerate every pair 2 <= a < b <= bound with ab+1 = r^2 by its
 smaller element a.  b > a is r > a, b <= bound is r <= isqrt(a*bound+1),
 and b = (r^2-1)/a is an integer exactly when r^2 == 1 (mod a), so the pairs
-of a are r = u + k*a (k >= 1) for the unit roots u of a, which CRT builds
-while it divides the prime powers out of a by a smallest-prime-factor
-sieve.  For each pair, every c > b with ac+1 = s^2 and bc+1 = t^2 solves
-the Pell-type equation a*t^2 - b*s^2 = a - b, whose solutions fall into
-orbits under the unit r + sqrt(ab).  Each orbit holds a small seed
-(Nagell's bound, see `pell_orbit`), so the census tests a handful of seeds
-per pair and follows their orbits up to the bound.  Each iterate (t, s)
-gives c = (s^2-1)/a with bc+1 = t^2 by construction (checked, not searched
-for) and an exact square test of abc+1.  A compiled kernel makes the same
-scan, step for step, for bounds whose arithmetic fits in 64 bits (up to its
-exported MAX_BOUND); the pure-Python path is the fallback and the reference
-for it, and both return the same raw triples in the same order.
+of a are r = u + k*a (k >= 1) for the unit roots u of a, built as sums of
+CRT basis elements while the prime powers of a are divided out of it by a
+smallest-prime-factor sieve.  For each pair, every c > b with ac+1 = s^2
+and bc+1 = t^2 solves the Pell-type equation a*t^2 - b*s^2 = a - b, whose
+solutions fall into orbits under the unit r + sqrt(ab).  Each orbit holds a
+small seed (Nagell's bound, see `pell_orbit`), so the census tests a
+handful of seeds per pair and follows their orbits up to the bound.  Each
+iterate (t, s) gives c = (s^2-1)/a with bc+1 = t^2 by construction
+(checked, not searched for) and an exact square test of abc+1.  A compiled
+kernel makes the same scan, step for step, for bounds whose arithmetic fits
+in 64 bits (up to its exported MAX_BOUND); the pure-Python path is the
+fallback and the reference for it, and both return the same raw triples in
+the same order.
 
 `brute_oracle` is the deliberately dumb cross-check: double pair loop plus a
 full scan of c, never sharing code with the fast path.
@@ -134,16 +135,17 @@ def unit_square_roots(m: int, spf: List[int]) -> Tuple[int, ...]:
         while rest % p == 0:
             rest //= p
             pe *= p
-        if pe == 2:
-            local = (1,)
-        elif p != 2 or pe == 4:
-            local = (1, pe - 1)
-        else:
-            half = pe // 2
-            local = (1, pe - 1, half - 1, half + 1)
         co = m // pe
         basis = co * pow(co, -1, pe)
-        terms = [l * basis % m for l in local]
+        # the terms l*B mod m of the roots l = 1, pe-1, pe/2-1, pe/2+1
+        if pe == 2:
+            terms = (basis,)
+        elif p != 2 or pe == 4:
+            terms = (basis, (pe - 1) * basis % m)
+        else:
+            half = pe // 2
+            terms = (basis, (pe - 1) * basis % m,
+                     (half - 1) * basis % m, (half + 1) * basis % m)
         roots = [s - m if (s := res + term) >= m else s
                  for res in roots for term in terms]
     return tuple(roots)

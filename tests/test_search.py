@@ -51,7 +51,7 @@ def test_divisors():
 def _roots_in_crt_order(m):
     """The roots of t^2 == 1 (mod m) in CRT order, found without CRT: for
     each choice of one root mod each prime power of m, nested with the
-    smallest prime power outermost, the t in [0, m) that is the chosen root
+    smallest prime power outermost, the root of m that is the chosen root
     mod every prime power, by search.  The roots mod p^e, also found by
     search, come 1 and p^e-1 first, then the rest ascending."""
     powers = []
