@@ -33,12 +33,11 @@
  * MAX_BOUND is set here only: the module exports it, and
  * search.census_path sends larger bounds to the pure path.
  *
- * Ranges for bound <= MAX_BOUND: a < bound <= 1.5e6.  unit_roots works in
- * u32: a, p^e, the cofactor co = a/p^e, the inverse of co mod p^e and
- * every partial sum (below 2a) fit while a < 2^31.  The basis element
- * B = co * (co^-1 mod p^e) < co * p^e = a, and a term l*B with l < p^e,
- * below a^2 < 2.25e12, is its only 64-bit product.  A cap of 1e7 keeps all
- * of these (a^2 < 1e14).  r <= s_max <= bound, so r*r - 1 < 2.25e12,
+ * Ranges for bound <= MAX_BOUND: a < bound <= 1.5e6.  unit_roots has no
+ * 64-bit product: a, p^e, the cofactor co = a/p^e, the inverse of co mod
+ * p^e, the basis element B = co * (co^-1 mod p^e) < co * p^e = a, the last
+ * one a + 1 - total <= a, and every term and partial sum (all below 2a)
+ * fit in u32 while a < 2^31.  r <= s_max <= bound, so r*r - 1 < 2.25e12,
  * s_max's a*bound + 1 < 2.25e12, and b = (r^2-1)/a <= bound.  With r >= 3
  * the seed scan's a*c0 + 1 <= X <= a(b-a)/4 <= b^2/16 < 1.5e11, its last
  * product, the a*c0 + 1 <= X + a that ends the loop, stays far below
@@ -160,29 +159,36 @@ inv_mod(u32 x, u32 m)
 /* The t in [0, a) with t^2 == 1 (mod a), for 2 <= a within the sieve,
    into roots; writes their count.  These are the sums of CRT basis
    elements of search.unit_square_roots, whose docstring states the
-   construction, in the same order: for each prime power p^e of a, the
-   terms l*B mod a of its local roots l, then every partial sum so far
-   extended by each term in turn, with one conditional subtraction of a. */
+   construction, in the same order.  Every term is below 2a, so the one
+   conditional subtraction reduces each sum: a term of 2^e >= 8 may exceed
+   a, but 2^e is the first prime power, so it is added to the partial sum 0
+   only. */
 static int
 unit_roots(u32 a, const u32 *spf, u32 *roots, int *count)
 {
-    u32 rest = a;
+    u32 rest = a, total = 0;
     int n = 1;
     roots[0] = 0;
     while (rest > 1) {
-        u32 p = spf[rest], pe = 1;
+        u32 p = spf[rest], pe = 1, basis;
         int i, j;
         while (rest % p == 0) {
             rest /= p;
             pe *= p;
         }
-        u32 co = a / pe, basis = co * inv_mod(co, pe), half = pe / 2;
-        u32 local[4] = {1, pe - 1, half - 1, half + 1}, term[4];
+        if (rest > 1) {
+            u32 co = a / pe;
+            basis = co * inv_mod(co, pe);
+            total += basis;
+            if (total >= a)
+                total -= a;
+        } else {
+            basis = total == 0 ? 1 : a + 1 - total;
+        }
+        u32 term[4] = {basis, a - basis, a / 2 + (a - basis), a / 2 + basis};
         int nl = pe & 1 ? 2 : pe == 2 ? 1 : pe == 4 ? 2 : 4;
         if (n * nl > MAX_ROOTS)
             return OVERFLOW_ROOTS;
-        for (j = 0; j < nl; j++)
-            term[j] = (u32)((u64)local[j] * basis % a);
         /* partial sum i's nl extensions go to slots i*nl.., from the last
            sum down, so each sum is read before its slot is overwritten */
         for (i = n - 1; i >= 0; i--) {

@@ -118,10 +118,17 @@ def unit_square_roots(m: int, spf: List[int]) -> Tuple[int, ...]:
     for a choice of one root l_k mod each prime power p_k^e_k,
     l_1*B_1 + l_2*B_2 + ... is the root of m that is l_k mod every p_k^e_k.
 
-    The terms l*B mod m are computed once per prime power.  The sum is
-    nested, the smallest prime power outermost: each partial sum so far,
-    below m, is extended by each term of the next prime power in turn, and
-    one subtraction of m brings the sum, below 2m, back below m.  So a root
+    The basis elements sum to 1 mod m (each p_k^e_k divides 1 minus the
+    sum), so the last one is 1 minus the others mod m, and takes no
+    inverse; when m is a prime power it is 1.  The terms l*B mod m need no
+    product either: p^e*B = m*(co^-1 mod p^e) is 0 mod m, so the roots 1
+    and p^e-1 give B and m-B, and for p^e >= 8, where the inverse is odd,
+    (p^e/2)*B is m/2 mod m, so p^e/2-1 and p^e/2+1 give m/2 + (m-B) and
+    m/2 + B.  The sum is nested, the smallest prime power outermost: each
+    partial sum so far, below m, is extended by each term of the next prime
+    power in turn, and one subtraction of m brings the sum, below 2m, back
+    below m.  The terms of 2^e >= 8 may exceed m, but 2^e is the first
+    prime power, so they are added to the partial sum 0 only.  So a root
     costs one addition and one compare, and no division, and the roots come
     in CRT order, unsorted: the root chosen mod the smallest prime power
     varies slowest.  The kernel's `unit_roots` builds the same roots in the
@@ -129,23 +136,27 @@ def unit_square_roots(m: int, spf: List[int]) -> Tuple[int, ...]:
     """
     roots = [0]
     rest = m  # m with the prime powers taken so far divided out
+    total = 0  # the basis elements so far
     while rest > 1:
         p = spf[rest]
         pe = 1
         while rest % p == 0:
             rest //= p
             pe *= p
-        co = m // pe
-        basis = co * pow(co, -1, pe)
-        # the terms l*B mod m of the roots l = 1, pe-1, pe/2-1, pe/2+1
+        if rest > 1:
+            co = m // pe
+            basis = co * pow(co, -1, pe)
+            total += basis
+        else:
+            basis = (1 - total) % m
+        # the terms of the roots l = 1, pe-1, pe/2-1, pe/2+1
         if pe == 2:
             terms = (basis,)
         elif p != 2 or pe == 4:
-            terms = (basis, (pe - 1) * basis % m)
+            terms = (basis, m - basis)
         else:
-            half = pe // 2
-            terms = (basis, (pe - 1) * basis % m,
-                     (half - 1) * basis % m, (half + 1) * basis % m)
+            half = m // 2
+            terms = (basis, m - basis, half + m - basis, half + basis)
         roots = [s - m if (s := res + term) >= m else s
                  for res in roots for term in terms]
     return tuple(roots)

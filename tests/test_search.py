@@ -83,6 +83,25 @@ def test_unit_square_roots_against_brute_force():
     assert unit_square_roots(24, spf) == (1, 17, 7, 23, 19, 11, 13, 5)
 
 
+def test_crt_basis_elements_sum_to_one():
+    # unit_square_roots takes the last basis element as 1 minus the others;
+    # here every B_k is built by its definition, over a trial factoring
+    for m in [*range(2, 3001), 120_120, 510_510, 1_441_440]:
+        powers, rest, p = [], m, 2
+        while rest > 1:
+            pe = 1
+            while rest % p == 0:
+                rest //= p
+                pe *= p
+            if pe > 1:
+                powers.append(pe)
+            p += 1
+        basis = [m // pe * pow(m // pe, -1, pe) for pe in powers]
+        for pe, b in zip(powers, basis):
+            assert b < m and all(b % q == (q == pe) for q in powers), (m, pe)
+        assert sum(basis) % m == 1, m
+
+
 def test_find_pairs_bound_10():
     assert list(find_pairs(10)) == [
         (2, 4, 3), (3, 5, 4), (3, 8, 5), (4, 6, 5), (5, 7, 6),
