@@ -37,6 +37,7 @@ from foursq import kernel_loaded, search_triples  # noqa: E402
 TRAJECTORY_BOUNDS = [50_000, 200_000, 1_000_000]
 TRAJECTORY_JOBS = (1, 2)
 REPEATS = 5
+SKIP_PURE_ABOVE = 200_000  # the comparison times no pure run beyond this bound
 
 
 def time_search(bound, jobs, force_pure):
@@ -102,8 +103,6 @@ def main(argv=None):
                         help="bounds to time (default 1000 10000 100000, "
                              "or 50000 200000 1000000 with --json)")
     parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--skip-pure-above", type=int, default=200_000,
-                        help="skip the pure-Python run beyond this bound")
     parser.add_argument("--json", type=Path, default=None,
                         help="append a jobs-1/jobs-2 trajectory run to this "
                              "file instead of printing the comparison")
@@ -126,7 +125,7 @@ def main(argv=None):
         k_res = k_t = None
         if kernel_loaded():
             k_res, k_t = time_search(bound, args.jobs, force_pure=False)
-        if bound <= args.skip_pure_above:
+        if bound <= SKIP_PURE_ABOVE:
             p_res, p_t = time_search(bound, args.jobs, force_pure=True)
         else:
             p_res = p_t = None

@@ -91,8 +91,6 @@ typedef uint32_t u32;
 
 enum { OK = 0, OVERFLOW_ROOTS, OUT_OF_MEMORY };
 
-static const char *overflow_names[] = {NULL, "MAX_ROOTS"};
-
 /* Floor square root of v < 2^63: the double estimate is off by at most a
    few units at this size, so it is corrected in both directions.  The
    conversions go through int64_t, which both ways are single instructions
@@ -362,10 +360,10 @@ census_chunk(PyObject *self, PyObject *args)
     free(spf);
     if (err == OUT_OF_MEMORY)
         PyErr_NoMemory();
-    else if (err > 0)
+    else if (err == OVERFLOW_ROOTS)
         PyErr_Format(PyExc_RuntimeError,
-                     "census kernel capacity %s exceeded at bound %llu",
-                     overflow_names[err], (unsigned long long)bound);
+                     "census kernel capacity MAX_ROOTS exceeded at bound %llu",
+                     (unsigned long long)bound);
     if (err != OK) {
         Py_DECREF(found);
         return NULL;

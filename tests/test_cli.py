@@ -454,10 +454,14 @@ def test_closed_stdout_ends_quietly_with_sigpipe_status():
 
 
 @pytest.mark.parametrize("argv", [
-    "gen -5 5 both --format json", "prove --format json"])
+    "gen -5 5 both --format json", "prove --format json",
+    "search --max 750 --oracle --jobs 2 --pure",
+    "search --max 750 --oracle --jobs 2", "verify 5 7 24", "seq R -3 3",
+    "gen 0 3 both --format csv"])
 def test_stdout_is_the_same_under_python_O(argv):
     # the constructor's invariant checks are `if`s, not `assert`s, so -O
-    # must leave stdout alone
+    # must leave stdout alone; on two CPUs the --pure census runs a
+    # process pool
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     runs = [subprocess.run([sys.executable, *flags, "-m", "foursq",
                             *argv.split()],
@@ -465,6 +469,35 @@ def test_stdout_is_the_same_under_python_O(argv):
             for flags in ([], ["-O"])]
     assert [proc.returncode for proc in runs] == [0, 0]
     assert runs[1].stdout == runs[0].stdout
+
+
+# runs three commands in one process; with argv[1] "blocked", the import of
+# the compiled kernel fails as if it were not built
+STDLIB_ONLY = """
+import sys
+if sys.argv[1] == "blocked":
+    sys.modules["foursq._kernel"] = None
+from foursq import cli
+for argv in ["search --max 750 --oracle --jobs 2",
+             "gen 0 1 both --format csv", "prove"]:
+    status = cli.main(argv.split())
+    if status:
+        sys.exit(status)
+"""
+
+
+def test_the_cli_runs_on_the_stdlib_alone_with_or_without_the_kernel():
+    # python -S puts no site-packages on the path, so a third-party import
+    # fails; the blocked run takes the pure path by the `except ImportError`
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    built, blocked = [
+        subprocess.run([sys.executable, "-S", "-c", STDLIB_ONLY, run],
+                       capture_output=True, text=True, env=env)
+        for run in ("built", "blocked")]
+    assert built.returncode == 0, built.stderr
+    assert blocked.returncode == 0, blocked.stderr
+    assert "search path: pure Python (kernel not built)" in blocked.stderr
+    assert blocked.stdout == built.stdout
 
 
 # Every subcommand, usage errors (exit 2 from argparse), a domain error
