@@ -1,20 +1,25 @@
 #!/usr/bin/env python3
-"""Benchmark the census: compiled kernel vs pure-Python fallback.
+"""Benchmark the census, REPEATS runs a row.  For each bound it times:
 
-Both paths must return identical triples and counters; the benchmark
-asserts that before reporting timings.  Each row shows the triple count,
-pairs scanned and candidates tested next to the times.
+- the path `search` takes (the kernel when it loads) at one job;
+- the same path at two jobs;
+- when that path is the kernel, the pure path at one job.
+
+Pure rows are timed only up to PURE_UP_TO, so without the kernel a larger
+bound has no row and is skipped with a note.  Every row of a bound must
+give the triples, pairs scanned and candidates tested of its first row,
+which checks the kernel against the pure path and two jobs against one.
+Each row prints as one line: the bound, path and job count, the census
+counts, and the best and median wall time of its runs.
 
     python benchmarks/bench_search.py
-    python benchmarks/bench_search.py --bounds 10000 100000 1000000 --jobs 4
+    python benchmarks/bench_search.py --bounds 10000 20000 100000
 
-With --json, it times the path `search` takes (the kernel when it loads) at
-one and two jobs instead, checks that both give the same census, and appends
-the run to a trajectory file: the commit, whether src/ differs from it, the
-Python version, the core count, whether the kernel loaded, and per bound and
-job count the wall time of each of 5 runs with their best and median,
-triples, pairs and candidates.  On a shared machine the best alone can swing
-2x between runs of the same code; the times show the spread.
+With --json, it also appends the run to a trajectory file: the commit,
+whether src/ differs from it, the Python version, the core count, whether
+the kernel loaded, and the rows, each with the wall time of every run.  On
+a shared machine the best alone can swing 2x between runs of the same
+code; the times show the spread.
 
     python benchmarks/bench_search.py --json BENCH_census.json
 """
@@ -32,18 +37,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from foursq import kernel_loaded, search_triples  # noqa: E402
+from foursq import DomainError, kernel_loaded, search_triples  # noqa: E402
+from foursq.search import census_path  # noqa: E402
 
-TRAJECTORY_BOUNDS = [50_000, 200_000, 1_000_000]
-TRAJECTORY_JOBS = (1, 2)
+BOUNDS = [50_000, 200_000, 1_000_000]
 REPEATS = 5
-SKIP_PURE_ABOVE = 200_000  # the comparison times no pure run beyond this bound
-
-
-def time_search(bound, jobs, force_pure):
-    start = time.perf_counter()
-    result = search_triples(bound, jobs=jobs, force_pure=force_pure)
-    return result, time.perf_counter() - start
+PURE_UP_TO = 100_000  # a pure census to 2*10^5 takes seconds a run
 
 
 def _git(*args):
@@ -51,32 +50,55 @@ def _git(*args):
                           text=True, check=True).stdout.strip()
 
 
-def trajectory_run(bounds):
-    """One trajectory entry: the environment, then a row per bound and job
-    count with its REPEATS wall times, their best and their median."""
+def sides(bound):
+    """The (path, jobs) of each row timed at `bound`."""
+    try:
+        path = "kernel" if census_path(bound)[0] else "pure"
+    except DomainError:  # past the pure cap, so no row
+        path = "pure"
+    rows = [(path, 1), (path, 2)] + [("pure", 1)] * (path == "kernel")
+    return [(p, jobs) for p, jobs in rows if p == "kernel" or bound <= PURE_UP_TO]
+
+
+def time_row(bound, path, jobs):
+    times = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        result = search_triples(bound, jobs=jobs, force_pure=path == "pure")
+        times.append(time.perf_counter() - start)
+    return result, {"bound": bound, "path": path, "jobs": jobs,
+                    "best_s": round(min(times), 4),
+                    "median_s": round(statistics.median(times), 4),
+                    "times_s": [round(t, 4) for t in times],
+                    "triples": len(result.triples),
+                    "pairs": result.stats.pairs_scanned,
+                    "candidates": result.stats.candidates_tested}
+
+
+def time_bounds(bounds):
+    """Time and print every row of every bound; stop at a row whose census
+    differs from its bound's first."""
     rows = []
     for bound in bounds:
+        planned = sides(bound)
+        if not planned:
+            print(f"note: bound {bound} skipped: the pure path is timed only "
+                  f"up to {PURE_UP_TO}", file=sys.stderr)
         census = None
-        for jobs in TRAJECTORY_JOBS:
-            timed = [time_search(bound, jobs, force_pure=False)
-                     for _ in range(REPEATS)]
-            result = timed[0][0]
-            times = [t for _, t in timed]
-            got = (result.triples, result.stats.pairs_scanned,
-                   result.stats.candidates_tested)
-            if census is None:
-                census = got
-            elif got != census:
-                raise SystemExit(f"jobs={jobs} differs from one job at {bound}")
-            rows.append({"bound": bound, "jobs": jobs,
-                         "best_s": round(min(times), 4),
-                         "median_s": round(statistics.median(times), 4),
-                         "times_s": [round(t, 4) for t in times],
-                         "triples": len(result.triples),
-                         "pairs": result.stats.pairs_scanned,
-                         "candidates": result.stats.candidates_tested})
-            print(rows[-1], file=sys.stderr)
-    return {**environment(), "rows": rows}
+        for path, jobs in planned:
+            result, row = time_row(bound, path, jobs)
+            got = (result.triples, row["pairs"], row["candidates"])
+            census = census or got
+            if got != census:
+                raise SystemExit(f"{path} at {jobs} jobs differs from "
+                                 f"{planned[0][0]} at 1 job at {bound}")
+            print(f"bound {bound:>8}  path {path:<6}  jobs {jobs}  "
+                  f"triples {row['triples']:>3}  pairs {row['pairs']:>9}  "
+                  f"candidates {row['candidates']:>9}  "
+                  f"best_s {row['best_s']:.4f}  median_s {row['median_s']:.4f}",
+                  flush=True)
+            rows.append(row)
+    return rows
 
 
 def environment():
@@ -99,48 +121,19 @@ def append_run(path, run):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--bounds", type=int, nargs="+", default=None,
-                        help="bounds to time (default 1000 10000 100000, "
-                             "or 50000 200000 1000000 with --json)")
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--bounds", type=int, nargs="+", default=BOUNDS,
+                        help="bounds to time (default 50000 200000 1000000)")
     parser.add_argument("--json", type=Path, default=None,
-                        help="append a jobs-1/jobs-2 trajectory run to this "
-                             "file instead of printing the comparison")
+                        help="also append the run to this trajectory file")
     args = parser.parse_args(argv)
 
     if not kernel_loaded():
         print("note: census kernel not built; timing the pure path only\n"
               "      build it with: python setup.py build_ext --inplace",
               file=sys.stderr)
-
+    rows = time_bounds(args.bounds)
     if args.json is not None:
-        append_run(args.json, trajectory_run(args.bounds or TRAJECTORY_BOUNDS))
-        return 0
-
-    header = (f"{'bound':>10}  {'triples':>7}  {'pairs':>10}  {'candidates':>11}"
-              f"  {'kernel':>9}  {'pure':>9}  {'speedup':>7}")
-    print(header)
-    print("-" * len(header))
-    for bound in args.bounds or [1_000, 10_000, 100_000]:
-        k_res = k_t = None
-        if kernel_loaded():
-            k_res, k_t = time_search(bound, args.jobs, force_pure=False)
-        if bound <= SKIP_PURE_ABOVE:
-            p_res, p_t = time_search(bound, args.jobs, force_pure=True)
-        else:
-            p_res = p_t = None
-        if k_res is not None and p_res is not None:
-            assert k_res.triples == p_res.triples, f"path mismatch at {bound}"
-            assert k_res.stats.pairs_scanned == p_res.stats.pairs_scanned
-            assert (k_res.stats.candidates_tested
-                    == p_res.stats.candidates_tested)
-        shown = k_res or p_res
-        speedup = f"{p_t / k_t:6.1f}x" if (k_t and p_t) else "      -"
-        print(f"{bound:>10}  {len(shown.triples):>7}  "
-              f"{shown.stats.pairs_scanned:>10}  "
-              f"{shown.stats.candidates_tested:>11}  "
-              f"{f'{k_t:8.3f}s' if k_t is not None else '        -'}  "
-              f"{f'{p_t:8.3f}s' if p_t is not None else '        -'}  {speedup}")
+        append_run(args.json, {**environment(), "rows": rows})
     return 0
 
 

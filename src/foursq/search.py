@@ -295,10 +295,10 @@ def _map_on_threads(chunks: List[tuple], workers: int) -> list:
     instead.
 
     The threads take chunk indices from a shared queue.  The first exception
-    a thread raises is raised here; it, or an interrupt of the caller (say
-    Ctrl-C while waiting), empties the queue, so the threads stop after
-    their current chunk.  They are daemons, so interpreter exit does not
-    wait on them.
+    a thread raises is raised here; it, an interrupt of the caller (say
+    Ctrl-C while waiting) or a thread that fails to start empties the
+    queue, so the threads stop after their current chunk.  They are
+    daemons, so interpreter exit does not wait on them.
     """
     results: list = [None] * len(chunks)
     errors: List[BaseException] = []
@@ -322,9 +322,9 @@ def _map_on_threads(chunks: List[tuple], workers: int) -> list:
     threads = [threading.Thread(target=work, name=f"foursq-census-{k}",
                                 daemon=True)
                for k in range(workers)]
-    for thread in threads:
-        thread.start()
     try:
+        for thread in threads:
+            thread.start()
         for thread in threads:
             thread.join()
     finally:

@@ -19,7 +19,8 @@ def build_kernel(tmp_path_factory):
     checkout's `setup.py` into a temporary directory and imports it, with
     extra compiler flags from its positional arguments and C macros set from
     its keyword arguments.  The module's `build_log` is the build's
-    stdout.
+    stdout.  With load=False it returns the built file's path instead, for
+    a build that only a process started with its own environment can load.
 
     Skipped only when no C compiler exists; a compiler that fails to build
     the kernel is a test failure.
@@ -28,7 +29,7 @@ def build_kernel(tmp_path_factory):
     if not cc or shutil.which(cc.split()[0]) is None:
         pytest.skip("no C compiler to build the census kernel")
 
-    def build(*flags, **macros):
+    def build(*flags, load=True, **macros):
         out = tmp_path_factory.mktemp("kernel")
         env = dict(os.environ)
         env["CFLAGS"] = " ".join([env.get("CFLAGS", ""), *flags] + [
@@ -39,6 +40,8 @@ def build_kernel(tmp_path_factory):
             cwd=REPO, env=env, capture_output=True, text=True)
         built = sorted(out.glob("foursq/_kernel.*"))
         assert built, f"{cc} is present but the kernel did not build:\n{proc.stderr}"
+        if not load:
+            return built[0]
         spec = importlib.util.spec_from_file_location("foursq._kernel", built[0])
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)

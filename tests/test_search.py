@@ -4,6 +4,7 @@ import os
 import signal
 import subprocess
 import sys
+import sysconfig
 import threading
 import time
 from pathlib import Path
@@ -449,7 +450,7 @@ def test_cflags_set_the_kernel_optimization_level(build_kernel):
 
 # loads the kernel at argv[1] and compares it with the pure path on the
 # (bound, a_lo, a_hi) windows that argv[2] lists
-UBSAN_CHECK = """
+SANITIZED_CHECK = """
 import ast, importlib.util, sys
 from foursq.search import _census_chunk_py
 spec = importlib.util.spec_from_file_location("foursq._kernel", sys.argv[1])
@@ -459,29 +460,46 @@ for window in ast.literal_eval(sys.argv[2]):
     assert kernel.census_chunk(*window) == _census_chunk_py(*window), window
 """
 
+# the runtime library of each sanitizer, then its compiler flags
+SANITIZERS = {
+    "undefined": ("libubsan.so", "-fsanitize=undefined",
+                  "-fno-sanitize-recover=all", "-fno-wrapv"),
+    "address": ("libasan.so", "-g", "-fsanitize=address"),
+}
 
-def test_kernel_under_ubsan_equals_pure_chunk(build_kernel):
-    """A kernel built with gcc's undefined-behaviour sanitizer returns the
-    pure path's list on the full range at 20,000 and on the a-windows at the
-    cap.  gcc's UBSan checks signed overflow, which in the kernel is the
-    int64_t orbit step of follow_orbit; it does not check the wrap of
-    unsigned arithmetic, which C defines.  -fno-wrapv undoes the -fwrapv
-    (or -fno-strict-overflow) of CPython's own CFLAGS, under which gcc
-    drops the signed overflow check.  With -fno-sanitize-recover=all a
-    report ends the process, so the check runs in a child process, whose
-    stderr carries the report."""
-    try:
-        ubsan = build_kernel("-O1", "-fsanitize=undefined",
-                             "-fno-sanitize-recover=all", "-fno-wrapv")
-    except (AssertionError, ImportError, OSError) as exc:
-        pytest.skip(f"the compiler cannot build or load a UBSan kernel: {exc}")
+
+@pytest.mark.parametrize("sanitizer", SANITIZERS)
+def test_kernel_under_a_sanitizer_equals_pure_chunk(build_kernel, kernel,
+                                                    sanitizer):
+    """A kernel built with one of gcc's sanitizers returns the pure path's
+    list on the full range at 20,000 and on the a-windows at the cap.
+
+    UBSan checks signed overflow, which in the kernel is the int64_t orbit
+    step of follow_orbit; it does not check the wrap of unsigned arithmetic,
+    which C defines.  -fno-wrapv undoes the -fwrapv (or
+    -fno-strict-overflow) of CPython's own CFLAGS, under which gcc drops the
+    signed overflow check.  ASan checks every load and store, such as the
+    writes to the roots array that MAX_ROOTS bounds.  A report ends the
+    process, so the check runs in a child process, whose stderr carries the
+    report.  The ASan runtime must be the first library that process loads,
+    so it is preloaded there, and the pytest process never loads such a
+    kernel; the UBSan runtime is preloaded the same way.
+    """
+    runtime, *flags = SANITIZERS[sanitizer]
+    cc = sysconfig.get_config_var("CC").split()[0]
+    library = subprocess.run([cc, f"-print-file-name={runtime}"],
+                             capture_output=True, text=True).stdout.strip()
+    if not os.path.isabs(library):
+        pytest.skip(f"{cc} names no {runtime}")
+    built = build_kernel("-O1", *flags, load=False)
     windows = [(20_000, 2, 19_999)] + [
-        (ubsan.MAX_BOUND, a_lo, a_hi) for a_lo, a_hi, _ in CAP_WINDOWS]
+        (kernel.MAX_BOUND, a_lo, a_hi) for a_lo, a_hi, _ in CAP_WINDOWS]
     src = Path(search.__file__).resolve().parent.parent
     proc = subprocess.run(
-        [sys.executable, "-c", UBSAN_CHECK, ubsan.__file__, repr(windows)],
-        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
-        text=True, timeout=600)
+        [sys.executable, "-c", SANITIZED_CHECK, str(built), repr(windows)],
+        env=dict(os.environ, PYTHONPATH=str(src), LD_PRELOAD=library,
+                 ASAN_OPTIONS="detect_leaks=0"),
+        capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -580,6 +598,56 @@ def test_interrupt_stops_a_threaded_census(kernel, monkeypatch):
         thread.join(timeout=60)
     assert not any(thread.is_alive() for thread in census)
     assert len(started) < len(_chunk_plan(bound, 2, True))
+
+
+def test_a_failed_thread_start_stops_a_threaded_census(kernel, monkeypatch):
+    # a thread can fail to start (at the process's thread limit, or on
+    # Ctrl-C while it comes up); the error reaches the caller, and the
+    # thread already started takes no further chunk
+    _use_kernel(monkeypatch, kernel)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    started = []
+    chunk_worker = search._chunk_worker
+
+    def counted(args):
+        started.append(args)
+        return chunk_worker(args)
+    monkeypatch.setattr(search, "_chunk_worker", counted)
+    census = []
+    thread_start = threading.Thread.start
+
+    def start(thread):
+        if thread.name.startswith("foursq-census"):
+            census.append(thread)
+            if len(census) == 2:
+                raise RuntimeError("can't start new thread")
+        thread_start(thread)
+    monkeypatch.setattr(threading.Thread, "start", start)
+    bound = 1_500_000
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        search_triples(bound, jobs=2)
+    census[0].join(timeout=60)
+    assert not census[0].is_alive()
+    assert len(started) < len(_chunk_plan(bound, 2, True))
+
+
+def test_the_kernel_checks_for_signals_while_it_scans(kernel):
+    # Ctrl-C stops a census on the main thread (one job, or a direct call)
+    # only through the kernel's own signal check: without it the interrupt
+    # is raised once the whole scan has returned
+    bound = kernel.MAX_BOUND
+    start = time.perf_counter()
+    kernel.census_chunk(bound, 2, bound - 1)
+    whole = time.perf_counter() - start
+    timer = threading.Timer(0.02, os.kill, (os.getpid(), signal.SIGINT))
+    start = time.perf_counter()
+    timer.start()
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            kernel.census_chunk(bound, 2, bound - 1)
+    finally:
+        timer.cancel()
+    assert time.perf_counter() - start < whole / 3
 
 
 @pytest.mark.parametrize("bound,jobs", [
