@@ -483,7 +483,9 @@ def test_kernel_under_a_sanitizer_equals_pure_chunk(build_kernel, kernel,
     process, so the check runs in a child process, whose stderr carries the
     report.  The ASan runtime must be the first library that process loads,
     so it is preloaded there, and the pytest process never loads such a
-    kernel; the UBSan runtime is preloaded the same way.
+    kernel; the UBSan runtime is preloaded the same way.  ASan's default
+    unwinder crashes in CPython's frames before it prints the stack of a
+    report, so the frame-pointer unwinder prints it.
     """
     runtime, *flags = SANITIZERS[sanitizer]
     cc = sysconfig.get_config_var("CC").split()[0]
@@ -498,7 +500,7 @@ def test_kernel_under_a_sanitizer_equals_pure_chunk(build_kernel, kernel,
     proc = subprocess.run(
         [sys.executable, "-c", SANITIZED_CHECK, str(built), repr(windows)],
         env=dict(os.environ, PYTHONPATH=str(src), LD_PRELOAD=library,
-                 ASAN_OPTIONS="detect_leaks=0"),
+                 ASAN_OPTIONS="detect_leaks=0:fast_unwind_on_fatal=1"),
         capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
 
