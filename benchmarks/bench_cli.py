@@ -2,28 +2,27 @@
 """Benchmark whole CLI commands, called in process through foursq.cli.main.
 
 Each command runs several times in one process with stdout sent to a sink
-that keeps only its sha256 and size.  Every run of a command must give the
-same exit code and stdout digest before its times are reported.  `seq P 0 0`
-does almost no work of its own, so its median over 200 calls is the fixed
-cost of one main() call.  `gen 30 33 both` is a small-index `gen`, like
-the median operation of the perfbench `families` workload, and `prove`
-takes a few ms; both also run 200 times.  The other commands run 5 times
-each.
+that keeps only its sha256 and size.  `seq P 0 0` does almost no work of
+its own, so its median over 200 calls is the fixed cost of one main() call.
+`gen 30 33 both` is a small-index `gen`, like the median operation of the
+perfbench `families` workload, and `prove` takes under a millisecond; both
+also run 200 times.  The other commands run 5 times each.  A run's timed
+span covers making its sink and redirecting stdout as well as the call:
+`seq P 0 0` read 54 us without them and 58 us with them (medians of ten
+alternating runs of 200 calls, shared 2-core Xeon, CPython 3.11).
 
-Those rows cannot see start-up, which is most of a command's wall time when
-it runs as a process of its own.  Two start-up rows time fresh processes:
-`python -c "import foursq.cli"`, each run right after a control process that
-imports only the stdlib modules foursq.cli used to import (the control of
-the perfbench setup_s metric), reported as both medians and the median of
-the per-pair ratio; and `python -m foursq seq P 0 0`, a whole command.
+Those rows cannot see start-up, which is most of a command's wall time in
+a process of its own.  The last row times FRESH_RUNS fresh `python -m
+foursq seq P 0 0` processes, after one untimed run that fills the bytecode
+cache; perfbench's setup_s times `import foursq.cli` alone.
+
+Rows are timed and printed as bench_search.py's are; every run of a row
+must give the same exit code, stdout digest and byte count.
 
     python benchmarks/bench_cli.py
 
-With --json, it appends the run to a trajectory file with the environment
-fields of bench_search.py (the commit, whether src/ differs from it, the
-Python version, the core count, whether the kernel loaded) and, per
-command, its exit code, stdout digest and size, and the best, median and
-worst wall time of its runs.
+With --json, it appends the run to a trajectory file, with the environment
+fields of bench_search.py and the rows.
 
     python benchmarks/bench_cli.py --json BENCH_cli.json
 """
@@ -32,13 +31,13 @@ import argparse
 import contextlib
 import hashlib
 import os
-import statistics
 import subprocess
 import sys
-import time
+from functools import partial
 from pathlib import Path
 
-from bench_search import ROOT, append_run, environment  # puts src/ on sys.path
+# bench_search puts src/ on sys.path
+from bench_search import ROOT, append_run, environment, print_row, time_row
 
 from foursq import make_main
 from foursq.cli import main as cli_main
@@ -63,13 +62,7 @@ COMMANDS = [
     ("verify near-miss n=751", near_miss(751), 5),
     ("prove", ["prove"], 200),
 ]
-
-
-# Fresh-process start-up: the stdlib modules that foursq.cli imported while
-# its records were dataclasses, as the control of `import foursq.cli`.
-IMPORT_CONTROL = ("import argparse, csv, dataclasses, fractions, json, "
-                  "multiprocessing.pool, typing")
-STARTUP_RUNS = 40
+FRESH_RUNS = 40
 
 
 class HashSink:
@@ -90,67 +83,21 @@ class HashSink:
         pass
 
 
-def time_command(label, argv, runs):
-    """The row of one command: its exit code, stdout digest and size, and
-    the best, median and worst wall time of `runs` calls of main."""
-    outcomes, times = set(), []
-    for _ in range(runs):
-        sink = HashSink()
-        with contextlib.redirect_stdout(sink):
-            start = time.perf_counter()
-            code = cli_main(argv)
-            times.append(time.perf_counter() - start)
-        outcomes.add((code, sink.sha256.hexdigest(), sink.size))
-    return command_row(label, outcomes, times)
+def in_process(argv):
+    """A run of main(argv): its exit code, stdout digest and size."""
+    sink = HashSink()
+    with contextlib.redirect_stdout(sink):
+        code = cli_main(argv)
+    return code, sink.sha256.hexdigest(), sink.size
 
 
-def command_row(label, outcomes, times):
-    """A command's row from the set of its runs' (exit code, stdout digest,
-    stdout size) and their wall times; every run must have the same
-    outcome."""
-    if len(outcomes) != 1:
-        raise SystemExit(f"{label}: runs differ: {sorted(outcomes)}")
-    code, digest, size = outcomes.pop()
-    return {"command": label, "exit": code, "stdout_sha256": digest,
-            "stdout_bytes": size, "runs": len(times),
-            "best_s": round(min(times), 6),
-            "median_s": round(statistics.median(times), 6),
-            "worst_s": round(max(times), 6)}
-
-
-def _run(argv):
-    """Wall time and result of a fresh Python process on the checkout."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    start = time.perf_counter()
+def fresh(argv):
+    """A run of a fresh Python process on the checkout: its exit code,
+    stdout digest and size."""
     proc = subprocess.run([sys.executable, *argv], capture_output=True,
-                          env=env)
-    return time.perf_counter() - start, proc
-
-
-def startup_rows(runs=STARTUP_RUNS):
-    """The two start-up rows: `import foursq.cli` against its control, and
-    a fresh `seq P 0 0`.  One untimed run of each fills the bytecode
-    cache first."""
-    control, probe = ["-c", IMPORT_CONTROL], ["-c", "import foursq.cli"]
-    command = ["-m", "foursq", "seq", "P", "0", "0"]
-    for argv in (control, probe, command):
-        _run(argv)
-    pairs = [(_run(control)[0], _run(probe)[0]) for _ in range(runs)]
-    import_row = {
-        "command": "fresh import foursq.cli", "runs": runs,
-        "control": IMPORT_CONTROL,
-        "control_median_s": round(statistics.median(c for c, _ in pairs), 6),
-        "median_s": round(statistics.median(p for _, p in pairs), 6),
-        "median_ratio": round(statistics.median(p / c for c, p in pairs), 4)}
-    outcomes, times = set(), []
-    for _ in range(runs):
-        wall, proc = _run(command)
-        times.append(wall)
-        outcomes.add((proc.returncode,
-                      hashlib.sha256(proc.stdout).hexdigest(),
-                      len(proc.stdout)))
-    return [import_row,
-            command_row("fresh python -m foursq seq P 0 0", outcomes, times)]
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    out = proc.stdout
+    return proc.returncode, hashlib.sha256(out).hexdigest(), len(out)
 
 
 def main(argv=None):
@@ -158,22 +105,18 @@ def main(argv=None):
     parser.add_argument("--json", type=Path, default=None,
                         help="append the run to this trajectory file")
     args = parser.parse_args(argv)
+    seq = ["-m", "foursq", "seq", "P", "0", "0"]
+    fresh(seq)
+    calls = [(label, partial(in_process, argv), runs)
+             for label, argv, runs in COMMANDS]
+    calls.append(("fresh python -m foursq seq P 0 0", partial(fresh, seq),
+                  FRESH_RUNS))
     rows = []
-    for label, command, runs in COMMANDS:
-        rows.append(time_command(label, command, runs))
-        row = rows[-1]
-        print(f"{label:36} exit {row['exit']}  {row['stdout_bytes']:>9} B  "
-              f"best {row['best_s'] * 1e3:10.3f} ms  "
-              f"median {row['median_s'] * 1e3:10.3f} ms  ({runs} runs)")
-    imports, seq = startup_rows()
-    rows += [imports, seq]
-    print(f"{'fresh import foursq.cli':36} median "
-          f"{imports['median_s'] * 1e3:.1f} ms, control "
-          f"{imports['control_median_s'] * 1e3:.1f} ms, median ratio "
-          f"{imports['median_ratio']:.3f}  ({imports['runs']} pairs)")
-    print(f"{'fresh python -m foursq seq P 0 0':36} exit {seq['exit']}  "
-          f"best {seq['best_s'] * 1e3:.1f} ms  median "
-          f"{seq['median_s'] * 1e3:.1f} ms  ({seq['runs']} runs)")
+    for label, call, runs in calls:
+        (code, digest, size), row = time_row({"command": label}, call, runs)
+        row.update(exit=code, stdout_sha256=digest, stdout_bytes=size)
+        print_row(row)
+        rows.append(row)
     if args.json is not None:
         append_run(args.json, {**environment(), "rows": rows})
     return 0

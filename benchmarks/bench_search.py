@@ -9,17 +9,17 @@ Pure rows are timed only up to PURE_UP_TO, so without the kernel a larger
 bound has no row and is skipped with a note.  Every row of a bound must
 give the triples, pairs scanned and candidates tested of its first row,
 which checks the kernel against the pure path and two jobs against one.
-Each row prints as one line: the bound, path and job count, the census
-counts, and the best and median wall time of its runs.
+Each row prints as one line of `key value` pairs: the bound, path and job
+count, the number of runs, the best, quartiles and worst of their wall
+times in seconds, and the census counts.
 
     python benchmarks/bench_search.py
     python benchmarks/bench_search.py --bounds 10000 20000 100000
 
 With --json, it also appends the run to a trajectory file: the commit,
 whether src/ differs from it, the Python version, the core count, whether
-the kernel loaded, and the rows, each with the wall time of every run.  On
-a shared machine the best alone can swing 2x between runs of the same
-code; the times show the spread.
+the kernel loaded, and the rows.  On a shared machine the best alone can
+swing 2x between runs of the same code; the quartiles show the spread.
 
     python benchmarks/bench_search.py --json BENCH_census.json
 """
@@ -60,19 +60,42 @@ def sides(bound):
     return [(p, jobs) for p, jobs in rows if p == "kernel" or bound <= PURE_UP_TO]
 
 
-def time_row(bound, path, jobs):
-    times = []
-    for _ in range(REPEATS):
+def census_bound(text):
+    """A --bounds value: a census needs a bound of at least 3."""
+    if int(text) < 3:
+        raise argparse.ArgumentTypeError(f"a bound is at least 3, not {text}")
+    return int(text)
+
+
+def time_row(fields, call, runs):
+    """Call `call` `runs` times; every call must return the same outcome.
+    Returns that outcome and the row: `fields`, then the number of runs and
+    the best, quartiles and worst of their wall times."""
+    outcomes, times = [], []
+    for _ in range(runs):
         start = time.perf_counter()
-        result = search_triples(bound, jobs=jobs, force_pure=path == "pure")
+        outcomes.append(call())
         times.append(time.perf_counter() - start)
-    return result, {"bound": bound, "path": path, "jobs": jobs,
-                    "best_s": round(min(times), 4),
-                    "median_s": round(statistics.median(times), 4),
-                    "times_s": [round(t, 4) for t in times],
-                    "triples": len(result.triples),
-                    "pairs": result.stats.pairs_scanned,
-                    "candidates": result.stats.candidates_tested}
+    if outcomes.count(outcomes[0]) != runs:
+        raise SystemExit(f"{fields}: the runs differ")
+    spread = [min(times), *statistics.quantiles(times, method="inclusive"),
+              max(times)]
+    return outcomes[0], {**fields, "runs": runs, **dict(zip(
+        ["best_s", "q1_s", "median_s", "q3_s", "worst_s"],
+        (round(t, 6) for t in spread)))}
+
+
+def print_row(row):
+    """Print a row as one line of `key value` pairs, times to 1 us."""
+    print("  ".join(f"{k} {v:.6f}" if k.endswith("_s") else f"{k} {v}"
+                    for k, v in row.items()), flush=True)
+
+
+def census(bound, path, jobs):
+    """The census outcome of one run: its triples, pairs and candidates."""
+    result = search_triples(bound, jobs=jobs, force_pure=path == "pure")
+    return (result.triples, result.stats.pairs_scanned,
+            result.stats.candidates_tested)
 
 
 def time_bounds(bounds):
@@ -84,19 +107,17 @@ def time_bounds(bounds):
         if not planned:
             print(f"note: bound {bound} skipped: the pure path is timed only "
                   f"up to {PURE_UP_TO}", file=sys.stderr)
-        census = None
+        first = None
         for path, jobs in planned:
-            result, row = time_row(bound, path, jobs)
-            got = (result.triples, row["pairs"], row["candidates"])
-            census = census or got
-            if got != census:
+            got, row = time_row({"bound": bound, "path": path, "jobs": jobs},
+                                lambda: census(bound, path, jobs), REPEATS)
+            first = first or got
+            if got != first:
                 raise SystemExit(f"{path} at {jobs} jobs differs from "
                                  f"{planned[0][0]} at 1 job at {bound}")
-            print(f"bound {bound:>8}  path {path:<6}  jobs {jobs}  "
-                  f"triples {row['triples']:>3}  pairs {row['pairs']:>9}  "
-                  f"candidates {row['candidates']:>9}  "
-                  f"best_s {row['best_s']:.4f}  median_s {row['median_s']:.4f}",
-                  flush=True)
+            row.update(triples=len(got[0]), pairs=got[1],
+                       candidates=got[2])
+            print_row(row)
             rows.append(row)
     return rows
 
@@ -121,7 +142,8 @@ def append_run(path, run):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--bounds", type=int, nargs="+", default=BOUNDS,
+    parser.add_argument("--bounds", type=census_bound, nargs="+",
+                        default=BOUNDS,
                         help="bounds to time (default 50000 200000 1000000)")
     parser.add_argument("--json", type=Path, default=None,
                         help="also append the run to this trajectory file")

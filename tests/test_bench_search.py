@@ -45,3 +45,13 @@ def test_bench_search_rows_agree_with_the_census(run, pure_up_to, sides):
                    census.stats.candidates_tested) for row in rows)
     if not sides:
         assert "bound 2000 skipped" in proc.stderr
+
+
+@pytest.mark.parametrize("bound", ["0", "2"])
+def test_bench_search_refuses_a_bound_below_3(bound):
+    proc = subprocess.run(
+        [sys.executable, "benchmarks/bench_search.py", "--bounds", bound],
+        cwd=REPO, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "a bound is at least 3" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -183,6 +183,18 @@ def test_search_oracle_agreement(capsys):
     assert "oracle agrees" in err
 
 
+def test_search_oracle_mismatch_fails(capsys, monkeypatch):
+    # a census that loses (5, 7, 24) must fail the cross-check
+    def lossy(*args, **kwargs):
+        result = search.search_triples(*args, **kwargs)
+        return result._replace(triples=[t for t in result.triples
+                                        if t[:3] != (5, 7, 24)])
+    monkeypatch.setattr(cli, "search_triples", lossy)
+    code, _, err = run_cli(capsys, "search", "--max", "100", "--oracle")
+    assert code == 1
+    assert "oracle mismatch: missing=[(5, 7, 24)] extra=[]" in err
+
+
 def test_search_oracle_cap_is_usage_error(capsys):
     assert run_cli(capsys, "search", "--max", "2500", "--oracle")[0] == 2
     # the cap fails before the census, so no rows reach stdout

@@ -319,8 +319,13 @@ def test_kernel_chunk_equals_pure_chunk_at_the_kernel_cap(kernel, a_lo, a_hi,
     assert (len(pure[0]), pure[1], pure[2]) == counts
 
 
+# the golden (triples, pairs scanned, candidates tested) of the census to
+# 200,000, which the pure path takes seconds to reach
+CENSUS_200K = (25, 1_398_856, 2_140_201)
+
+
 @pytest.mark.parametrize("bound,triples,pairs,candidates", [
-    (200_000, 25, 1_398_856, 2_140_201),
+    (200_000, *CENSUS_200K),
     (1_000_000, 27, 7_973_991, 12_114_814),
 ])
 def test_kernel_census_counts_past_the_pure_path(kernel, bound, triples,
@@ -340,9 +345,9 @@ def test_kernel_a_windows_sum_to_the_golden_counts(kernel):
     edges = [2, 3, 100, 4095, 4096, 4097, 70_000, bound - 2, bound - 1]
     parts = [kernel.census_chunk(bound, lo, hi)
              for lo, hi in zip(edges, edges[1:])]
-    assert len({t[:3] for found, _, _ in parts for t in found}) == 25
-    assert sum(p for _, p, _ in parts) == 1_398_856
-    assert sum(c for _, _, c in parts) == 2_140_201
+    assert (len({t[:3] for found, _, _ in parts for t in found}),
+            sum(p for _, p, _ in parts),
+            sum(c for _, _, c in parts)) == CENSUS_200K
 
 
 def _pairs_by_divisors(bound):
@@ -406,14 +411,13 @@ def _use_kernel(monkeypatch, kernel):
     monkeypatch.setattr(search, "Pool", no_pool)
 
 
-@pytest.mark.parametrize("cap", ["MAX_ROOTS"])
-def test_kernel_capacity_overflow_raises(build_kernel, cap, monkeypatch):
-    small = build_kernel(**{cap: 2})
-    with pytest.raises(RuntimeError, match=cap):
+def test_kernel_capacity_overflow_raises(build_kernel, monkeypatch):
+    small = build_kernel(MAX_ROOTS=2)
+    with pytest.raises(RuntimeError, match="MAX_ROOTS"):
         small.census_chunk(2000, 2, 1999)
     # the error of a chunk on a worker thread reaches the caller
     _use_kernel(monkeypatch, small)
-    with pytest.raises(RuntimeError, match=cap):
+    with pytest.raises(RuntimeError, match="MAX_ROOTS"):
         search_triples(2000, jobs=2)
 
 
@@ -561,9 +565,8 @@ def test_threaded_kernel_census_equals_one_job(jobs, kernel, monkeypatch):
 def test_threaded_kernel_census_golden_counts(kernel, monkeypatch):
     _use_kernel(monkeypatch, kernel)
     result = search_triples(200_000, jobs=2)
-    assert len(result.triples) == 25
-    assert result.stats.pairs_scanned == 1_398_856
-    assert result.stats.candidates_tested == 2_140_201
+    assert (len(result.triples), result.stats.pairs_scanned,
+            result.stats.candidates_tested) == CENSUS_200K
 
 
 def test_pure_census_on_processes_equals_one_job():
