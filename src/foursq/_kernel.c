@@ -5,18 +5,20 @@
  * census_chunk follows search._census_chunk_py step for step and returns
  * the same list: the same raw triples in the same order, and the same
  * counters; the test suite enforces that equality.  For each a, both paths
- * divide out its prime powers by the sieve while they build its unit roots
- * as sums of CRT basis elements (see unit_roots), walk its pairs root by
- * root in that CRT order and then by ascending r, and find the seeds of
- * each pair's orbits by the same scan of c0 = (s0^2-1)/a from c0 = 0 (see
- * pell_orbit).
+ * divide out its prime powers by the sieve and build its unit roots in the
+ * same CRT order, the pure path by the textbook CRT step and the kernel as
+ * sums of CRT basis elements (see unit_roots), walk its pairs root by root
+ * in that order and then by ascending r, and find the seeds of each pair's
+ * orbits by the same scan of c0 = (s0^2-1)/a from c0 = 0 (see pell_orbit).
+ * search.pell_orbit also proves the lemma that the orbits rest on: every
+ * c > b they reach is a + b + 2r or exceeds 4ab.
  *
  * Pairs by their smaller element a: b > a is r > a, and b <= bound is
  * r <= s_max = isqrt(a*bound + 1); b = (r^2-1)/a is an integer exactly when
  * r^2 == 1 (mod a).  So the pairs of a are r = u + k*a, k >= 1, r <= s_max,
  * for the unit roots 1 <= u < a of a, built by CRT over the prime powers of
- * a as in search.unit_square_roots.  A pair has b >= a+2 (a^2 < a(a+1)+1 <
- * (a+1)^2), so a chunk's a-window lies in [2, bound-1).
+ * a (see unit_roots).  A pair has b >= a+2 (a^2 < a(a+1)+1 < (a+1)^2), so
+ * a chunk's a-window lies in [2, bound-1).
  *
  * The seed bound X = a(b-a)/(2(r-1)) is at least 1 for every pair:
  * ab+1 = r^2 rules out b = a+1, so b >= a+2, and then r <= (a+b)/2, so
@@ -155,12 +157,29 @@ inv_mod(u32 x, u32 m)
 }
 
 /* The t in [0, a) with t^2 == 1 (mod a), for 2 <= a within the sieve,
-   into roots; writes their count.  These are the sums of CRT basis
-   elements of search.unit_square_roots, whose docstring states the
-   construction, in the same order.  Every term is below 2a, so the one
-   conditional subtraction reduces each sum: a term of 2^e >= 8 may exceed
-   a, but 2^e is the first prime power, so it is added to the partial sum 0
-   only. */
+   into roots; writes their count.  These are the roots of
+   search.unit_square_roots in the same CRT order: the local roots 1, p^e-1
+   (and p^e/2-1, p^e/2+1 for p^e >= 8) of each prime power p^e of a, the
+   smallest prime first, with the root mod the smallest prime power varying
+   slowest.  Here they are sums of CRT basis elements, with no division.
+
+   With the cofactor co = a / p^e, the basis element B = co * (co^-1 mod
+   p^e) is 1 mod p^e and 0 mod the other prime powers, and B < a.  So for
+   one root l_k mod each prime power p_k^e_k, l_1*B_1 + l_2*B_2 + ... is the
+   root of a that is l_k mod every p_k^e_k.  The basis elements sum to 1
+   mod a (each p_k^e_k divides 1 minus the sum), so the last one is 1 minus
+   the others, kept in total below a, and takes no inverse; when a is a
+   prime power it is 1.  The terms l*B mod a need no product either:
+   p^e*B = a*(co^-1 mod p^e) is 0 mod a, so the roots 1 and p^e-1 give the
+   terms B and a-B, and for p^e >= 8, where the inverse is odd, (p^e/2)*B
+   is a/2 mod a, so p^e/2-1 and p^e/2+1 give a/2 + (a-B) and a/2 + B.
+
+   The sum is nested, the smallest prime power outermost: each partial sum,
+   below a, is extended by each term of the next prime power in turn, and
+   one conditional subtraction of a reduces each root.  The terms are
+   below a, so each sum is below 2a; a term of 2^e >= 8 may exceed a, but
+   2^e is the first prime power, so it is added to the partial sum 0 only.
+   So a root costs one addition and one compare. */
 static int
 unit_roots(u32 a, const u32 *spf, u32 *roots, int *count)
 {

@@ -3,19 +3,23 @@
 Strategy: enumerate every pair 2 <= a < b <= bound with ab+1 = r^2 by its
 smaller element a.  b > a is r > a, b <= bound is r <= isqrt(a*bound+1),
 and b = (r^2-1)/a is an integer exactly when r^2 == 1 (mod a), so the pairs
-of a are r = u + k*a (k >= 1) for the unit roots u of a, built as sums of
-CRT basis elements while the prime powers of a are divided out of it by a
-smallest-prime-factor sieve.  For each pair, every c > b with ac+1 = s^2
-and bc+1 = t^2 solves the Pell-type equation a*t^2 - b*s^2 = a - b, whose
-solutions fall into orbits under the unit r + sqrt(ab).  Each orbit holds a
-small seed (Nagell's bound, see `pell_orbit`), so the census tests a
-handful of seeds per pair and follows their orbits up to the bound.  Each
-iterate (t, s) gives c = (s^2-1)/a with bc+1 = t^2 by construction
-(checked, not searched for) and an exact square test of abc+1.  A compiled
-kernel makes the same scan, step for step, for bounds whose arithmetic fits
-in 64 bits (up to its exported MAX_BOUND); the pure-Python path is the
-fallback and the reference for it, and both return the same raw triples in
-the same order.
+of a are r = u + k*a (k >= 1) for the unit roots u of a, combined by the
+Chinese remainder theorem from the roots mod each prime power of a, which a
+smallest-prime-factor sieve divides out of it.  For each pair, every c > b
+with ac+1 = s^2 and bc+1 = t^2 solves the Pell-type equation
+a*t^2 - b*s^2 = a - b, whose solutions fall into orbits under the unit
+r + sqrt(ab).  Each orbit holds a small seed (Nagell's bound, see
+`pell_orbit`, which also proves that every such c is a + b + 2r or exceeds
+4ab), so the census tests a handful of seeds per pair and follows their
+orbits up to the bound.  Each iterate (t, s) gives c = (s^2-1)/a with
+bc+1 = t^2 by construction (checked, not searched for) and an exact square
+test of abc+1.  A compiled kernel makes the same scan, step for step, for
+bounds whose arithmetic fits in 64 bits (up to its exported MAX_BOUND); the
+pure-Python path is the fallback and the reference for it, and both return
+the same raw triples in the same order.  The reference does its arithmetic
+plainly, and the kernel builds its unit roots as sums of CRT basis
+elements, with no division, so the parity tests set the two constructions
+against each other.
 
 `brute_oracle` is the deliberately dumb cross-check: double pair loop plus a
 full scan of c, never sharing code with the fast path.
@@ -106,59 +110,36 @@ def spf_sieve(limit: int) -> List[int]:
 
 
 def unit_square_roots(m: int, spf: List[int]) -> Tuple[int, ...]:
-    """All t in [0, m) with t^2 == 1 (mod m), for m within the sieve, as
-    sums of CRT basis elements.
+    """All t in [0, m) with t^2 == 1 (mod m), for m within the sieve, in
+    CRT order.
 
     The prime powers p^e of m are divided out of it by their smallest prime
     from the sieve, the smallest prime first.  The roots mod p^e are 1,
     p^e-1 (and p^e/2-1, p^e/2+1 for p^e >= 8), in that order: 2 roots mod
     an odd prime power, and 1, 2 or 4 mod 2, 4 or a higher power of 2.
-    With the cofactor co = m / p^e, the basis element B = co * (co^-1 mod
-    p^e) is 1 mod p^e and 0 mod the other prime powers, and B < m.  So
-    for a choice of one root l_k mod each prime power p_k^e_k,
-    l_1*B_1 + l_2*B_2 + ... is the root of m that is l_k mod every p_k^e_k.
-
-    The basis elements sum to 1 mod m (each p_k^e_k divides 1 minus the
-    sum), so the last one is 1 minus the others mod m, and takes no
-    inverse; when m is a prime power it is 1.  The terms l*B mod m need no
-    product either: p^e*B = m*(co^-1 mod p^e) is 0 mod m, so the roots 1
-    and p^e-1 give B and m-B, and for p^e >= 8, where the inverse is odd,
-    (p^e/2)*B is m/2 mod m, so p^e/2-1 and p^e/2+1 give m/2 + (m-B) and
-    m/2 + B.  The sum is nested, the smallest prime power outermost: each
-    partial sum so far, below m, is extended by each term of the next prime
-    power in turn, and one subtraction of m brings the sum, below 2m, back
-    below m.  The terms of 2^e >= 8 may exceed m, but 2^e is the first
-    prime power, so they are added to the partial sum 0 only.  So a root
-    costs one addition and one compare, and no division, and the roots come
-    in CRT order, unsorted: the root chosen mod the smallest prime power
-    varies slowest.  The kernel's `unit_roots` builds the same roots in the
-    same order.
+    With M the product of the prime powers taken so far, the Chinese
+    remainder theorem makes the root x mod M and the root l mod p^e one
+    root mod M*p^e: x + M*((l - x)*(M^-1 mod p^e) mod p^e), which is below
+    M*p^e.  Each root so far is extended by each root mod p^e in turn, so
+    the roots come in CRT order, unsorted: the root chosen mod the smallest
+    prime power varies slowest.  The kernel's `unit_roots` builds the same
+    roots in the same order by another construction, with no division, so
+    the parity tests check its arithmetic against this one.
     """
     roots = [0]
     rest = m  # m with the prime powers taken so far divided out
-    total = 0  # the basis elements so far
     while rest > 1:
         p = spf[rest]
-        pe = 1
+        mod = m // rest  # M, the product of the prime powers taken so far
         while rest % p == 0:
             rest //= p
-            pe *= p
-        if rest > 1:
-            co = m // pe
-            basis = co * pow(co, -1, pe)
-            total += basis
-        else:
-            basis = (1 - total) % m
-        # the terms of the roots l = 1, pe-1, pe/2-1, pe/2+1
-        if pe == 2:
-            terms = (basis,)
-        elif p != 2 or pe == 4:
-            terms = (basis, m - basis)
-        else:
-            half = m // 2
-            terms = (basis, m - basis, half + m - basis, half + basis)
-        roots = [s - m if (s := res + term) >= m else s
-                 for res in roots for term in terms]
+        pe = m // rest // mod
+        local = ((1, pe - 1) if p > 2 else
+                 (1, pe - 1, pe // 2 - 1, pe // 2 + 1)[:min(pe // 2, 4)])
+        inv = pow(mod, -1, pe)
+        # under M = 1 (the first prime power) the step takes x = 0 to l
+        roots = [x + mod * ((l - x) * inv % pe)
+                 for x in roots for l in local] if mod > 1 else list(local)
     return tuple(roots)
 
 
@@ -216,6 +197,27 @@ def pell_orbit(a: int, b: int, r: int, s_max: int
     s^2 == 1 (mod a) holds for s0 and is kept by the step
     (a*t + r*s == r*s and r^2 == 1 (mod a)), so bc+1 = (b*s^2 - b + a)/a.
     The caller still checks t*t == bc+1, and tests abc+1.
+
+    Completeness lemma: every c > b with ac+1 and bc+1 square has
+    c = a + b + 2r (the regular c) or c > 4ab (A. Dujella, "Diophantine
+    m-tuples").  Proof, with r, s, t >= 0 the roots of ab+1, ac+1, bc+1:
+    1. One step from (t, s) gives c' = d+(c) = a + b + c + 2abc + 2rst, and
+       one from (-t, s) gives c' = d-(c) = a + b + c + 2abc - 2rst: expand
+       s' = +-a*t + r*s with s^2 = ac+1, t^2 = bc+1 and r^2 = ab+1.  Either
+       way bc'+1 = t'^2.
+    2. r^2 > ab, s^2 > ac and t^2 > bc give rst > abc, so d+(c) > 4abc, and
+       d+(c) > 4ab when c >= 1.
+    3. Multiplied out, d+(c)*d-(c) = (a+b+c+2abc)^2 - 4(ab+1)(ac+1)(bc+1)
+       = (c-a-b)^2 - 4(ab+1).  A seed has a*c0 + 1 <= X <= a(b-a)/4 (as
+       r >= 3), so c0 < b/4.  d-(c0) >= 0, since it is (s'^2-1)/a with
+       s'^2 == 1 (mod a), so s' != 0.  d-(0) = a + b - 2r < b (r > a), and
+       for c0 >= 1, d-(c0) < (a+b)^2 / d+(c0) < (a+b)^2 / (4ab) < b, as
+       a + b < 2b < 2b*sqrt(a).  So 0 <= d-(c0) < b: the first step from
+       (-t0, s0) never passes b.
+    4. Past the first step t and s are positive, so each step is the d+ of
+       the c before it.  So a c > b on an orbit is d+(0) = a + b + 2r, or
+       the d+ of some c >= 1, which exceeds 4ab.  Nagell's seed bound puts
+       every solution on such an orbit, which proves the lemma.
     """
     seed_sq_max = a * (b - a) // (2 * (r - 1))
     seeds = 0

@@ -7,10 +7,17 @@ import sysconfig
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from foursq import search
 
 REPO = Path(__file__).resolve().parent.parent
+
+# every property test draws the same examples on every run, here and in CI,
+# so a tier-1 result does not depend on the run; this file is imported
+# before any test module builds its settings, so they all inherit it
+settings.register_profile("foursq", derandomize=True, deadline=None)
+settings.load_profile("foursq")
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import os
@@ -10,9 +11,12 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from foursq import (DomainError, brute_oracle, find_pairs, make_companion,
-                    make_main, search, search_triples, verify_four)
+from foursq import (Certificate, DomainError, brute_oracle, find_pairs,
+                    make_companion, make_main, search, search_triples,
+                    verify_four)
 from foursq.search import (ORACLE_MAX_BOUND, _census_chunk_py, _chunk_plan,
                            pell_orbit, spf_sieve, unit_square_roots)
 
@@ -85,8 +89,9 @@ def test_unit_square_roots_against_brute_force():
 
 
 def test_crt_basis_elements_sum_to_one():
-    # unit_square_roots takes the last basis element as 1 minus the others;
-    # here every B_k is built by its definition, over a trial factoring
+    # the kernel's unit_roots takes the last basis element as 1 minus the
+    # others; here every B_k is built by its definition, over a trial
+    # factoring
     for m in [*range(2, 3001), 120_120, 510_510, 1_441_440]:
         powers, rest, p = [], m, 2
         while rest > 1:
@@ -296,8 +301,8 @@ def test_kernel_chunk_equals_pure_chunk(bound, kernel):
 # with the pure path's counts: the first holds (533, 509736, 543235), the
 # second has b and c near the bound, the third holds a = 120120, the first
 # a with 128 unit roots.  The single a after them take each branch of the
-# unit roots' basis sums: 2^20 (4 roots, cofactor 1), 3^12 (an odd prime
-# power), 510510 (seven distinct primes, 64 roots), 1441440 =
+# basis sums of the kernel's unit_roots: 2^20 (4 roots, cofactor 1), 3^12
+# (an odd prime power), 510510 (seven distinct primes, 64 roots), 1441440 =
 # 2^5*3^2*5*7*11*13 (128 roots, 4 of them mod 2^5) and the prime 1499977.
 CAP_WINDOWS = [
     (500, 600, (2, 25_358, 61_135)),
@@ -317,6 +322,58 @@ def test_kernel_chunk_equals_pure_chunk_at_the_kernel_cap(kernel, a_lo, a_hi,
     pure = _census_chunk_py(kernel.MAX_BOUND, a_lo, a_hi)
     assert kernel.census_chunk(kernel.MAX_BOUND, a_lo, a_hi) == pure
     assert (len(pure[0]), pure[1], pure[2]) == counts
+
+
+@st.composite
+def census_windows(draw, max_bound):
+    """A chunk (bound, a_lo, a_hi) with bound <= max_bound and 1 to 50
+    values of a from a_lo = a, for an a drawn toward the edge cases of the
+    kernel: powers of 2 and 3 (the branches of its basis sums), multiples
+    of 120120, 510510 and 1441440 (64 to 128 unit roots), a near bound/4,
+    a = bound-2 (the last a with a pair; the window then runs past
+    bound-1), and a below 100 at a bound from 750 to 20,000, where most
+    triples lie.  Pairs and candidates do not depend on the order of the
+    unit roots; only two triples of one a from different roots in one
+    window show it, such as (8, 45, 91) and (8, 105, 171).  The pure path
+    spends about k*bound/(4a) square tests on an a with k unit roots, so
+    any other a has bound <= 1000*a; the pure sieve to a costs the rest."""
+    kind = draw(st.sampled_from(
+        ["power", "roots", "quarter", "top", "small", "any"]))
+    if kind == "power":
+        a = draw(st.sampled_from([p ** e for p in (2, 3) for e in range(1, 21)
+                                  if p ** e <= max_bound - 2]))
+    elif kind == "roots":
+        m = draw(st.sampled_from([120_120, 510_510, 1_441_440]))
+        a = m * draw(st.integers(1, (max_bound - 2) // m))
+    elif kind in ("small", "any"):
+        a = draw(st.integers(2, 99 if kind == "small" else max_bound - 2))
+    if kind in ("quarter", "top"):
+        bound = draw(st.integers(10, max_bound))
+        a = bound - 2 if kind == "top" else max(
+            2, bound // 4 + draw(st.integers(-25, 25)))
+    elif kind == "small":
+        bound = draw(st.integers(750, 20_000))
+    else:
+        bound = draw(st.integers(a + 2, min(max_bound, 1000 * a)))
+    return bound, a, a + draw(st.integers(1, 50))
+
+
+@settings(max_examples=30)
+@given(data=st.data())
+def test_kernel_chunk_equals_pure_chunk_on_generated_windows(kernel, data):
+    # in addition to the fixed windows: the same raw triples, in the same
+    # order, and the same counters, on windows drawn anew for each change
+    # of this test (the draws are derandomized)
+    window = data.draw(census_windows(kernel.MAX_BOUND), label="window")
+    assert kernel.census_chunk(*window) == _census_chunk_py(*window)
+
+
+def test_property_tests_draw_the_same_examples_on_every_run():
+    # conftest.py loads a derandomized profile before any test module
+    # builds its settings, so every @given test in the suite, with or
+    # without settings of its own, is deterministic
+    assert settings.default.derandomize and settings.default.deadline is None
+    assert settings(max_examples=5).derandomize
 
 
 # the golden (triples, pairs scanned, candidates tested) of the census to
@@ -772,6 +829,150 @@ def test_diophantine_triples_are_regular_or_c_exceeds_4ab():
                     assert c > 4 * a * b, (a, b, c)
                     irregular += 1
     assert regular > irregular > 0
+
+
+ORACLE_BOUND = 20_000
+
+
+@pytest.fixture(scope="module")
+def unit_root_oracle():
+    """The census to ORACLE_BOUND from the unit roots of a, with no Pell
+    step: the pair count, the Diophantine triples (a, b, c, r) and the
+    four-square triples with their certificates, sorted as search_triples
+    sorts them.
+
+    The r > a with r^2 == 1 (mod a) and r <= isqrt(a*N+1) are the pairs
+    b = (r^2-1)/a <= N of a, in ascending b.  Two of them, u < v, give
+    b < c with ab+1 = u^2 and ac+1 = v^2, so (a, b, c) is a Diophantine
+    triple exactly when bc+1 is a square, and a four-square one when abc+1
+    is one too.  Only the sieve and the unit roots mod a are shared with
+    the census."""
+    bound = ORACLE_BOUND
+    spf = spf_sieve(bound)
+    pairs = 0
+    diophantine = []
+    four_square = []
+    for a in range(2, bound - 1):
+        s_max = math.isqrt(a * bound + 1)
+        roots = sorted(r for u in unit_square_roots(a, spf)
+                       for r in range(a + u, s_max + 1, a))
+        pairs += len(roots)
+        for i, u in enumerate(roots):
+            b = (u * u - 1) // a
+            for v in roots[i + 1:]:
+                c = (v * v - 1) // a
+                t = math.isqrt(b * c + 1)
+                if t * t != b * c + 1:
+                    continue
+                diophantine.append((a, b, c, u))
+                w = math.isqrt(a * b * c + 1)
+                if w * w == a * b * c + 1:
+                    four_square.append((a, b, c, Certificate(u, v, t, w)))
+    four_square.sort(key=lambda t: (t[2], t[1], t[0]))
+    return pairs, diophantine, four_square
+
+
+@pytest.fixture(scope="module")
+def orbits_to_oracle_bound():
+    """(a, b, r, seeds tested, orbit iterates) of every pair of the census
+    to ORACLE_BOUND, from pell_orbit."""
+    bound = ORACLE_BOUND
+    return [(a, b, r, *pell_orbit(a, b, r, math.isqrt(a * bound + 1)))
+            for a, b, r in find_pairs(bound)]
+
+
+def test_unit_root_oracle_equals_both_census_paths(kernel, monkeypatch,
+                                                   unit_root_oracle):
+    # the pairs scanned and the four-square triples, certificates included
+    pairs, _, four_square = unit_root_oracle
+    assert (pairs, len(four_square)) == (111_810, 20)
+    monkeypatch.setattr(search, "_kernel", kernel)
+    for pure in (False, True):
+        result = search_triples(ORACLE_BOUND, force_pure=pure)
+        assert result.stats.pairs_scanned == pairs, pure
+        assert result.triples == four_square, pure
+
+
+def test_orbit_iterates_are_the_unit_root_oracles_diophantine_triples(
+        unit_root_oracle, orbits_to_oracle_bound):
+    _, diophantine, _ = unit_root_oracle
+    assert len(diophantine) == 45_903
+    assert {(a, b, (s * s - 1) // a)
+            for a, b, _, _, orbit in orbits_to_oracle_bound
+            for s, _ in orbit} == {(a, b, c) for a, b, c, _ in diophantine}
+
+
+def test_orbit_iterates_repeat_only_for_pairs_a_a_plus_2(
+        orbits_to_oracle_bound):
+    # why search_triples deduplicates: from the seed (-1, 1), the first step
+    # of a pair {a, a+2} is (1, 1), the seed of its other orbit, so the two
+    # orbits of c0 = 0 are one, followed twice; no other iterate repeats
+    iterates = collections.Counter(
+        (a, b, (s * s - 1) // a)
+        for a, b, _, _, orbit in orbits_to_oracle_bound for s, _ in orbit)
+    assert sum(iterates.values()) == 50_910
+    repeats = {triple: n for triple, n in iterates.items() if n > 1}
+    assert sum(n - 1 for n in repeats.values()) == 5_007
+    assert all(n == 2 and b == a + 2 for (a, b, _), n in repeats.items())
+
+
+def test_irregular_diophantine_triples_exceed_4ab(unit_root_oracle):
+    # the completeness lemma of pell_orbit, on the oracle's triples: every
+    # c that is not a + b + 2r exceeds 4ab; (2, 12, 2380) is one of them
+    _, diophantine, _ = unit_root_oracle
+    irregular = [(a, b, c) for a, b, c, r in diophantine
+                 if c != a + b + 2 * r]
+    assert len(irregular) == 66 and (2, 12, 2380) in irregular
+    assert all(c > 4 * a * b for a, b, c in irregular)
+
+
+def test_orbit_steps_give_the_lemmas_d_plus_and_d_minus():
+    # step 1 of the completeness lemma: from every iterate (t, s), with
+    # c = (s^2-1)/a, one step from (t, s) and one from (-t, s) land on
+    # c' = a + b + c + 2abc +- 2rst, with bc'+1 = t'^2
+    bound = 3000
+    steps = 0
+    for a, b, r in find_pairs(bound):
+        for s, t in pell_orbit(a, b, r, math.isqrt(a * bound + 1))[1]:
+            c = (s * s - 1) // a
+            for sign in (1, -1):
+                t_next, s_next = r * sign * t + b * s, a * sign * t + r * s
+                c_next, rest = divmod(s_next * s_next - 1, a)
+                assert rest == 0 and b * c_next + 1 == t_next * t_next
+                assert (c_next
+                        == a + b + c + 2 * a * b * c + sign * 2 * r * s * t)
+                steps += 1
+    assert steps == 11_766
+
+
+def test_seeds_meet_the_lemmas_bounds(orbits_to_oracle_bound):
+    # steps 2 and 3 of the completeness lemma on every seed (s0, t0) of
+    # every pair to ORACLE_BOUND, from a scan of c0 over the seed bound X
+    # that counts the s0 as pell_orbit does: d+(c0) > 4ab*c0,
+    # d+ * d- = (c0-a-b)^2 - 4(ab+1), and 0 <= d-(c0) < b, where d-(c0) is
+    # the c of the first step from (-t0, s0)
+    seeds = 0
+    for a, b, r, tested, _ in orbits_to_oracle_bound:
+        seed_sq_max = a * (b - a) // (2 * (r - 1))
+        squares = 0
+        for c0 in range((seed_sq_max - 1) // a + 1):
+            s0 = math.isqrt(a * c0 + 1)
+            if s0 * s0 != a * c0 + 1:
+                continue
+            squares += 1
+            t0 = math.isqrt(b * c0 + 1)
+            if t0 * t0 != b * c0 + 1:
+                continue
+            seeds += 1
+            rst = r * s0 * t0
+            d_plus, d_minus = (a + b + c0 + 2 * a * b * c0 + sign * 2 * rst
+                               for sign in (1, -1))
+            assert d_plus > 4 * a * b * c0, (a, b, c0)
+            assert d_plus * d_minus == (c0 - a - b) ** 2 - 4 * (a * b + 1)
+            assert (r * s0 - a * t0) ** 2 == a * d_minus + 1
+            assert 0 <= d_minus < b, (a, b, c0)
+        assert squares == tested, (a, b, r)
+    assert seeds == 111_885
 
 
 def test_brute_oracle_smallest_triple():
