@@ -6,10 +6,13 @@ that keeps only its sha256 and size.  `seq P 0 0` does almost no work of
 its own, so its median over 200 calls is the fixed cost of one main() call.
 `gen 30 33 both` is a small-index `gen`, like the median operation of the
 perfbench `families` workload, and `prove` takes under a millisecond; both
-also run 200 times.  The other commands run 5 times each.  A run's timed
-span covers making its sink and redirecting stdout as well as the call:
-`seq P 0 0` read 54 us without them and 58 us with them (medians of ten
-alternating runs of 200 calls, shared 2-core Xeon, CPython 3.11).
+also run 200 times.  `gen 1500 1503 both --format json` is the largest
+`gen` that workload draws, where the five invariant checks and the
+certificate strings of each row cost most.  The other commands run 5
+times each.  A run's timed span covers making its sink and redirecting
+stdout as well as the call: `seq P 0 0` read 54 us without them and 58 us
+with them (medians of ten alternating runs of 200 calls, shared 2-core
+Xeon, CPython 3.11).
 
 Those rows cannot see start-up, which is most of a command's wall time in
 a process of its own.  The last row times FRESH_RUNS fresh `python -m
@@ -57,6 +60,8 @@ COMMANDS = [
      ["gen", "30", "33", "both", "--format", "json"], 200),
     ("gen 0 1500 both --format csv",
      ["gen", "0", "1500", "both", "--format", "csv"], 5),
+    ("gen 1500 1503 both --format json",
+     ["gen", "1500", "1503", "both", "--format", "json"], 5),
     ("gen 10000 10000 both --format json",
      ["gen", "10000", "10000", "both", "--format", "json"], 5),
     ("verify near-miss n=751", near_miss(751), 5),

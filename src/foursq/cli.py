@@ -9,7 +9,6 @@ byte-identical across runs for identical arguments.
 """
 
 import argparse
-import csv
 import functools
 import json
 import os
@@ -17,7 +16,8 @@ import sys
 from typing import Optional
 
 from .certify import Certificate, DomainError, verify_four
-from .family import ConstructionError, make_companion, make_main
+from .family import (ConstructionError, index_points, make_companion,
+                     make_main)
 from .search import ORACLE_MAX_BOUND, brute_oracle, census_path, search_triples
 from .sequences import sequence_values
 from .symbolic import prove_identities
@@ -32,14 +32,17 @@ def _opt_str(v) -> Optional[str]:
     return None if v is None else str(v)
 
 
-def _certificate_record(cert: Certificate) -> dict:
+def _certificate_record(cert: Certificate, ab: Optional[str] = None,
+                        abc: Optional[str] = None) -> dict:
     """The JSON form of a certificate, built only for JSON output (`_emit`
     and the verify payload), so that CSV and table rows, which never print
-    it, do not pay for its strings.  A `Certificate` is a tuple, which
-    `json` would write as an array of numbers."""
+    it, do not pay for its strings.  `ab` and `abc` are str(cert.r_ab) and
+    str(cert.r_abc) when the caller has them already.  A `Certificate` is a
+    tuple, which `json` would write as an array of numbers."""
     return {
-        "ab": str(cert.r_ab), "ac": str(cert.r_ac),
-        "bc": str(cert.r_bc), "abc": str(cert.r_abc),
+        "ab": str(cert.r_ab) if ab is None else ab,
+        "ac": str(cert.r_ac), "bc": str(cert.r_bc),
+        "abc": str(cert.r_abc) if abc is None else abc,
     }
 
 
@@ -75,17 +78,22 @@ def _emit(fmt: str, command: str, payload: dict, records: list) -> None:
     """Print gen or search output: the whole JSON `payload`, or `records`
     as CSV or as a table of the same string rows.  `payload` holds the
     `records` dicts themselves, so JSON output converts their certificates
-    in place."""
+    in place.  In every gen and search record the certificate's r_ab is |r|
+    and its r_abc is s, so their strings are the record's r, its sign
+    dropped, and s.  No CSV field needs quoting (decimal integers with an
+    optional sign, fixed words, the empty n of search rows), so a row is
+    its fields joined by commas, as `csv.writer` would write it."""
     if fmt == "json":
         for rec in records:
-            rec["certificate"] = _certificate_record(rec["certificate"])
+            rec["certificate"] = _certificate_record(
+                rec["certificate"], rec["r"].lstrip("-"), rec["s"])
         _emit_json(command, payload)
         return
     rows = [["" if rec[col] is None else str(rec[col]) for col in CSV_COLUMNS]
             for rec in records]
     if fmt == "csv":
-        csv.writer(sys.stdout, lineterminator="\n").writerows(
-            [CSV_COLUMNS, *rows])
+        for row in [CSV_COLUMNS, *rows]:
+            sys.stdout.write(",".join(row) + "\n")
     else:
         _emit_table(rows)
 
@@ -101,10 +109,13 @@ def _check_index_range(start: int, stop: int) -> None:
 def _cmd_gen(args) -> int:
     _check_index_range(args.start, args.stop)
     variants = ["main", "companion"] if args.variant == "both" else [args.variant]
+    makers = [make_main if variant == "main" else make_companion
+              for variant in variants]
     records = []
-    for n in range(args.start, args.stop + 1):
-        for variant in variants:
-            cand = make_main(n) if variant == "main" else make_companion(n)
+    # one point and one set of power lists per index, for every variant
+    for at in index_points(args.start, args.stop, variants):
+        for make in makers:
+            cand = make(at.n, at)
             records.append(_record(cand.n, cand.variant, cand.a, cand.r,
                                    cand.b, cand.c, cand.s, cand.admissible,
                                    cand.certificate()))

@@ -7,7 +7,10 @@ Two parametrized families indexed by n (through the conic point
 * the companion family r = A(n)^2 R(n-1) - A(n-1) - 2;
 
 each is a row of a, r, b, c, s tables in `forms.FAMILIES`, evaluated by one
-constructor that checks `forms.triple_conditions` on the integers.
+constructor that checks `forms.triple_conditions` on the integers.  The
+constructor reads an `IndexPoint`, the conic point of n with its power
+lists; `index_points` steps one along an index range, so that every
+variant evaluated at an index shares it.
 
 Plus the two elementary constructions: completing a pair (a, b) with
 ab+1 = r^2 to c = a + b + 2r, and the degenerate a=1 family b = k^2-1,
@@ -15,15 +18,15 @@ c = (k+1)^2 - 1.
 """
 
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from . import forms
 from .certify import Certificate, DomainError, perfect_square_root
-from .sequences import conic_point, seq_A, seq_R
+from .sequences import ConicPoint, conic_point, seq_A, seq_R
 
 __all__ = [
     "TripleCandidate", "Certificate", "NotDiophantinePair", "ConstructionError",
-    "make_main", "make_companion", "recurrence_r",
+    "IndexPoint", "index_points", "make_main", "make_companion", "recurrence_r",
     "regular_complete", "degenerate_family",
 ]
 
@@ -80,16 +83,53 @@ def _integral_row(variant: str) -> tuple:
     return cached[1:]
 
 
-def _construct(n: int, variant: str) -> TripleCandidate:
-    """a, r, b, c, s from the `forms.FAMILIES` row of `variant` at
-    conic_point(n), every invariant checked with `if` (not `assert`, so also
-    under python -O)."""
-    pt = conic_point(n)
+class IndexPoint(NamedTuple):
+    """The conic point of index n with the power lists [1, x, x^2, ...] and
+    [1, y, y^2, ...] of its coordinates, up to the highest degrees of the
+    family rows it was built for: what the constructor of each of those
+    variants reads."""
+
+    n: int
+    point: ConicPoint
+    xs: list
+    ys: list
+
+
+def _index_point(n: int, pt: ConicPoint, variants: Sequence[str]
+                 ) -> IndexPoint:
+    degrees = [_integral_row(variant)[1] for variant in variants]
+    return IndexPoint(n, pt,
+                      forms.powers(pt.x, max(dx for dx, _ in degrees)),
+                      forms.powers(pt.y, max(dy for _, dy in degrees)))
+
+
+def index_points(start: int, stop: int, variants: Sequence[str]
+                 ) -> Iterator[IndexPoint]:
+    """The IndexPoint of each index start..stop for the rows of `variants`:
+    conic_point(start), then one conic step (x, y) -> (4x - y, x) per
+    index, each point checked on the conic by `ConicPoint`."""
+    pt = None
+    for n in range(start, stop + 1):
+        pt = (conic_point(n) if pt is None
+              else ConicPoint(4 * pt.x - pt.y, pt.x))
+        yield _index_point(n, pt, variants)
+
+
+def _construct(n: int, variant: str, at: Optional[IndexPoint]
+               ) -> TripleCandidate:
+    """a, r, b, c, s from the `forms.FAMILIES` row of `variant` at the
+    point of index n (`at`, or conic_point(n) when it is None), every
+    invariant checked with `if` (not `assert`, so also under python -O)."""
     integral, (dx, dy) = _integral_row(variant)
-    xs, ys = forms.powers(pt.x, dx), forms.powers(pt.y, dy)
+    if at is None:
+        at = _index_point(n, conic_point(n), [variant])
+    elif at.n != n or len(at.xs) <= dx or len(at.ys) <= dy:
+        raise ValueError(f"the IndexPoint of index {at.n} was not built for "
+                         f"the {variant} row at index {n}")
+    pt = at.point
     values = []
     for what, (den, terms) in zip("arbcs", integral):
-        num = forms.integral_value(terms, xs, ys)
+        num = forms.integral_value(terms, at.xs, at.ys)
         v, rem = divmod(num, den)
         if rem:
             value = Fraction(num, den)
@@ -109,15 +149,18 @@ def _construct(n: int, variant: str) -> TripleCandidate:
                            admissible=_admissible(a, b, c))
 
 
-def make_main(n: int) -> TripleCandidate:
-    """Evaluate the proved family at index n, with every invariant checked."""
-    return _construct(n, "main")
+def make_main(n: int, at: Optional[IndexPoint] = None) -> TripleCandidate:
+    """Evaluate the proved family at index n, with every invariant checked;
+    `at`, the IndexPoint of n from `index_points`, spares rebuilding it."""
+    return _construct(n, "main", at)
 
 
-def make_companion(n: int) -> TripleCandidate:
+def make_companion(n: int, at: Optional[IndexPoint] = None
+                   ) -> TripleCandidate:
     """Evaluate the companion family at index n from its `forms` tables,
-    with the same invariants checked as for the main family."""
-    return _construct(n, "companion")
+    with the same invariants checked as for the main family; `at` as for
+    `make_main`."""
+    return _construct(n, "companion", at)
 
 
 def recurrence_r(n: int) -> int:

@@ -102,10 +102,16 @@ def triple_conditions(a, r, b, c, s) -> tuple:
     zero exactly when (a, b, c) is a regular triple with roots r and s.
 
     Works on ints (the constructor's checks) and on `symbolic.BiPoly` (the
-    prover's identities)."""
-    return (a * b + 1 - r * r, c - a - b - 2 * r,
-            a * c + 1 - (a + r) * (a + r), b * c + 1 - (b + r) * (b + r),
-            a * b * c + 1 - s * s)
+    prover's identities).  Four big products make all five: ab, r^2, ab*c
+    and s^2.  With d1 = ab+1-r^2 and d2 = c-a-b-2r, substituting
+    c = a+b+2r+d2 gives ac+1-(a+r)^2 = d1 + a*d2 and
+    bc+1-(b+r)^2 = d1 + b*d2, an identity in any commutative ring, so these
+    are the same values as the direct expansions, on ints and on BiPolys
+    alike; a*d2 and b*d2 are small, as d2 is 0 on every triple."""
+    ab = a * b
+    d1 = ab + 1 - r * r
+    d2 = c - a - b - 2 * r
+    return d1, d2, d1 + a * d2, d1 + b * d2, ab * c + 1 - s * s
 
 
 def integral_form(table: dict) -> tuple:

@@ -255,9 +255,11 @@ def _census_chunk_py(bound: int, a_lo: int, a_hi: int
     found = []
     pairs = 0
     candidates = 0
+    s_max_a = None  # the a whose s_max = isqrt(a*bound+1) is in s_max
     for a, b, r in find_pairs(bound, a_lo, a_hi):
         pairs += 1
-        s_max = isqrt(a * bound + 1)
+        if a != s_max_a:
+            s_max_a, s_max = a, isqrt(a * bound + 1)
         if s_max <= r:
             continue
         seeds, orbit = pell_orbit(a, b, r, s_max)

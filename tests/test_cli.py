@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import os
 import re
@@ -10,7 +12,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from foursq import cli, forms, search, symbolic
+from foursq import cli, forms, search, symbolic, verify_four
+from foursq.certify import Certificate
 from foursq.cli import INDEX_CAP, main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -209,6 +212,84 @@ def test_search_csv(capsys):
     lines = out.splitlines()
     assert lines[0] == "n,variant,a,r,b,c,s,admissible"
     assert lines[1] == ",external,5,6,7,24,29,True"
+
+
+def _csv_writer_text(rows):
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("argv,key", [
+    (["gen", "-4", "4", "both"], "records"),
+    (["search", "--max", "2000"], "triples")])
+def test_csv_equals_csv_writer_on_the_json_rows(capsys, argv, key):
+    # the rows read back from the JSON output, written by csv.writer
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    _, doc, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    rows = [["" if rec[col] is None else str(rec[col])
+             for col in cli.CSV_COLUMNS]
+            for rec in json.loads(doc)["payload"][key]]
+    assert out == _csv_writer_text([cli.CSV_COLUMNS, *rows])
+
+
+def test_csv_equals_csv_writer_with_a_negative_r_and_an_empty_n(capsys):
+    # neither the families nor the census print a negative r, but a row
+    # with one must come out as csv.writer writes it too
+    records = [
+        cli._record(-1, "main", 8, -3, 1, 15, 11, False,
+                    Certificate(3, 5, 2, 11)),
+        cli._record(None, "external", 5, 6, 7, 24, 29, True,
+                    Certificate(6, 11, 13, 29)),
+    ]
+    rows = [["" if rec[col] is None else str(rec[col])
+             for col in cli.CSV_COLUMNS] for rec in records]
+    cli._emit("csv", "gen", {"records": records}, records)
+    out = capsys.readouterr().out
+    assert out == _csv_writer_text([cli.CSV_COLUMNS, *rows])
+    assert out.splitlines()[1:] == ["-1,main,8,-3,1,15,11,False",
+                                    ",external,5,6,7,24,29,True"]
+
+
+class WriteOnlyStream:
+    """A text stream with only write and flush, as a sink may have."""
+
+    def __init__(self):
+        self.parts = []
+
+    def write(self, text):
+        self.parts.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "table"])
+def test_output_needs_only_write_and_flush(capsys, fmt, monkeypatch):
+    argv = ["gen", "0", "2", "both", "--format", fmt]
+    _, want, _ = run_cli(capsys, *argv)
+    sink = WriteOnlyStream()
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert main(argv) == 0
+    assert "".join(sink.parts) == want
+
+
+def test_gen_json_certificate_reuses_the_strings_of_r_and_s(capsys):
+    # its ab is |r| and its abc is s, rendered once for the record; on the
+    # negative indices too, and equal to verify's roots where admissible
+    code, out, _ = run_cli(capsys, "gen", "-12", "-1", "both",
+                           "--format", "json")
+    assert code == 0
+    for rec in json.loads(out)["payload"]["records"]:
+        a, r, b, s = (int(rec[k]) for k in "arbs")
+        cert = rec["certificate"]
+        assert cert == {"ab": str(abs(r)), "ac": str(abs(a + r)),
+                        "bc": str(abs(b + r)), "abc": str(s)}
+        if rec["admissible"]:
+            assert Certificate(*map(int, cert.values())) == verify_four(
+                a, int(rec["b"]), int(rec["c"])).certificate
 
 
 def test_search_output_is_byte_identical_across_runs(capsys):

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from foursq import BiPoly, conic_point, forms, sequences
 
@@ -82,3 +84,37 @@ def test_bipoly_evaluate_equals_the_naive_rational_sum(name):
     poly = BiPoly(table)
     for x, y in POINTS:
         assert poly.evaluate(x, y) == _naive(table, x, y), (x, y)
+
+
+def _direct_conditions(a, r, b, c, s):
+    """The five conditions as they read, one product per square."""
+    return (a * b + 1 - r * r, c - a - b - 2 * r,
+            a * c + 1 - (a + r) * (a + r), b * c + 1 - (b + r) * (b + r),
+            a * b * c + 1 - s * s)
+
+
+@given(*[st.integers(min_value=-10 ** 40, max_value=10 ** 40)] * 5)
+@settings(max_examples=300)
+@example(5, 6, 7, 24, 29)  # a triple: every residual is 0
+@example(5, 6, 7, 25, 29)  # d2 = 1 moves conditions 2 to 5 only
+@example(8, -3, 1, 15, 11)  # the main family at n = -1, r negative
+def test_triple_conditions_equal_the_direct_expansions_on_ints(a, r, b, c, s):
+    assert forms.triple_conditions(a, r, b, c, s) == _direct_conditions(
+        a, r, b, c, s)
+
+
+# a row of five polynomials that is no triple, so d1 and d2 are nonzero
+NON_TRIPLE_ROW = ({(1, 0): 1}, {(0, 1): 2, (0, 0): -1}, {(2, 1): 3},
+                  {(1, 1): Fraction(1, 2), (0, 3): 4}, {(3, 0): -5})
+
+
+@pytest.mark.parametrize("row", [*forms.FAMILIES.values(), NON_TRIPLE_ROW],
+                         ids=[*forms.FAMILIES, "non-triple"])
+def test_triple_conditions_equal_the_direct_expansions_on_bipolys(row):
+    # equal as polynomials, before any reduction modulo the conic, so the
+    # prover reduces the same residuals whichever way they are computed
+    polys = [BiPoly(table) for table in row]
+    residuals = forms.triple_conditions(*polys)
+    assert residuals == _direct_conditions(*polys)
+    if row is NON_TRIPLE_ROW:
+        assert not residuals[0].is_zero() and not residuals[1].is_zero()

@@ -304,6 +304,9 @@ def test_kernel_chunk_equals_pure_chunk(bound, kernel):
 # basis sums of the kernel's unit_roots: 2^20 (4 roots, cofactor 1), 3^12
 # (an odd prime power), 510510 (seven distinct primes, 64 roots), 1441440 =
 # 2^5*3^2*5*7*11*13 (128 roots, 4 of them mod 2^5) and the prime 1499977.
+# Each of 8 and 24 has two triples whose r lie in different unit-root
+# classes, so those windows pin the root order: (24, 477, 715) comes before
+# (24, 301, 495).
 CAP_WINDOWS = [
     (500, 600, (2, 25_358, 61_135)),
     (1_499_000, 1_500_000, (0, 999, 996)),
@@ -313,6 +316,8 @@ CAP_WINDOWS = [
     (510_510, 510_511, (0, 45, 45)),
     (1_441_440, 1_441_441, (0, 3, 3)),
     (1_499_977, 1_499_978, (0, 1, 1)),
+    (8, 9, (2, 1_728, 25_798)),
+    (24, 25, (2, 1_992, 26_318)),
 ]
 
 
