@@ -19,8 +19,12 @@ a process of its own.  The last row times FRESH_RUNS fresh `python -m
 foursq seq P 0 0` processes, after one untimed run that fills the bytecode
 cache; perfbench's setup_s times `import foursq.cli` alone.
 
-Rows are timed and printed as bench_search.py's are; every run of a row
-must give the same exit code, stdout digest and byte count.
+All rows run in interleaved rounds, as many as the fewest runs of a row:
+each round calls every row in turn, with each row's runs split evenly over
+the rounds, so that a slow stretch of a shared host touches every row alike
+instead of moving one.  Rows are summarized and printed as bench_search.py's
+are; every run of a row must give the same exit code, stdout digest and
+byte count.
 
     python benchmarks/bench_cli.py
 
@@ -40,7 +44,8 @@ from functools import partial
 from pathlib import Path
 
 # bench_search puts src/ on sys.path
-from bench_search import ROOT, append_run, environment, print_row, time_row
+from bench_search import (ROOT, append_run, environment, print_row,
+                          summarize, timed)
 
 from foursq import make_main
 from foursq.cli import main as cli_main
@@ -105,6 +110,20 @@ def fresh(argv):
     return proc.returncode, hashlib.sha256(out).hexdigest(), len(out)
 
 
+def time_in_rounds(calls):
+    """Time (fields, call, runs) rows in min(runs) rounds, every row once a
+    round, with its runs split evenly over the rounds.  Returns the
+    (outcome, row) of each row, as bench_search.time_row does."""
+    rounds = min(runs for _, _, runs in calls)
+    done = [[] for _ in calls]
+    for k in range(rounds):
+        for (_, call, runs), row_runs in zip(calls, done):
+            share = runs * (k + 1) // rounds - runs * k // rounds
+            row_runs.extend(timed(call) for _ in range(share))
+    return [summarize(fields, *zip(*row_runs))
+            for (fields, _, _), row_runs in zip(calls, done)]
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--json", type=Path, default=None,
@@ -112,13 +131,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     seq = ["-m", "foursq", "seq", "P", "0", "0"]
     fresh(seq)
-    calls = [(label, partial(in_process, argv), runs)
+    calls = [({"command": label}, partial(in_process, argv), runs)
              for label, argv, runs in COMMANDS]
-    calls.append(("fresh python -m foursq seq P 0 0", partial(fresh, seq),
-                  FRESH_RUNS))
+    calls.append(({"command": "fresh python -m foursq seq P 0 0"},
+                  partial(fresh, seq), FRESH_RUNS))
     rows = []
-    for label, call, runs in calls:
-        (code, digest, size), row = time_row({"command": label}, call, runs)
+    for (code, digest, size), row in time_in_rounds(calls):
         row.update(exit=code, stdout_sha256=digest, stdout_bytes=size)
         print_row(row)
         rows.append(row)

@@ -67,22 +67,29 @@ def census_bound(text):
     return int(text)
 
 
-def time_row(fields, call, runs):
-    """Call `call` `runs` times; every call must return the same outcome.
-    Returns that outcome and the row: `fields`, then the number of runs and
-    the best, quartiles and worst of their wall times."""
-    outcomes, times = [], []
-    for _ in range(runs):
-        start = time.perf_counter()
-        outcomes.append(call())
-        times.append(time.perf_counter() - start)
-    if outcomes.count(outcomes[0]) != runs:
+def timed(call):
+    """The outcome of one call of `call`, and its wall time."""
+    start = time.perf_counter()
+    outcome = call()
+    return outcome, time.perf_counter() - start
+
+
+def summarize(fields, outcomes, times):
+    """The outcome that every run of a row gave (it exits if they differ),
+    and the row: `fields`, then the number of runs and the best, quartiles
+    and worst of their wall times."""
+    if outcomes.count(outcomes[0]) != len(outcomes):
         raise SystemExit(f"{fields}: the runs differ")
     spread = [min(times), *statistics.quantiles(times, method="inclusive"),
               max(times)]
-    return outcomes[0], {**fields, "runs": runs, **dict(zip(
+    return outcomes[0], {**fields, "runs": len(times), **dict(zip(
         ["best_s", "q1_s", "median_s", "q3_s", "worst_s"],
         (round(t, 6) for t in spread)))}
+
+
+def time_row(fields, call, runs):
+    """Call `call` `runs` times in a row, and summarize the runs."""
+    return summarize(fields, *zip(*(timed(call) for _ in range(runs))))
 
 
 def print_row(row):

@@ -43,7 +43,9 @@
  * s_max's a*bound + 1 < 2.25e12, and b = (r^2-1)/a <= bound.  With r >= 3
  * the seed scan's a*c0 + 1 <= X <= a(b-a)/4 <= b^2/16 < 1.5e11, its last
  * product, the a*c0 + 1 <= X + a that ends the loop, stays far below
- * 2^63, and b*c0 + 1 <= b*X/a + 1 <= b^2/4 + 1 < 5.7e11.  The orbit
+ * 2^63, and b*c0 + 1 <= b*X/a + 1 <= b^2/4 + 1 < 5.7e11.  The guard
+ * against a retraced walk multiplies r - 1 < 1.5e6 by s0 <= sqrt(X) < 3.9e5
+ * and a < 1.5e6 by t0 < sqrt(5.7e11) < 7.6e5, both below 1.2e12.  The orbit
  * iterate (t, s) is signed (t starts at -t0 on one side).  An iterate
  * with s <= s_max has |t| < s * sqrt(b/a), since a*t^2 = b*s^2 - (b-a); so
  * the one step taken past s_max gives s' = a*t + r*s < 2*r*s_max and
@@ -283,8 +285,10 @@ follow_orbit(u64 a, u64 b, u64 r, u64 s_max, int64_t t, int64_t s,
    with b*c0 + 1 = t0^2.  The seed search is search.pell_orbit's: scan c0
    from 0 while a*c0 + 1 <= X, taking c0 = 0 as the seed (1, 1) untested.
    c0 and s0 rise together, so the seeds come in ascending order, and each
-   is followed from (t0, s0), then from (-t0, s0).  Returns 0, or -1 with a
-   Python exception set. */
+   is followed from (t0, s0), then from (-t0, s0) unless
+   (r-1)*s0 = a*t0, when that walk would retrace the first (see
+   search.pell_orbit, Uniqueness).  Returns 0, or -1 with a Python exception
+   set. */
 static int
 pell_orbit(u64 a, u64 b, u64 r, u64 s_max, PyObject *found, u64 *candidates)
 {
@@ -298,8 +302,9 @@ pell_orbit(u64 a, u64 b, u64 r, u64 s_max, PyObject *found, u64 *candidates)
         if ((c0 == 0 || square_root(b * c0 + 1, &t0))
                 && (follow_orbit(a, b, r, s_max, (int64_t)t0, (int64_t)s0,
                                  found, candidates) < 0
-                    || follow_orbit(a, b, r, s_max, -(int64_t)t0,
-                                    (int64_t)s0, found, candidates) < 0))
+                    || ((r - 1) * s0 != a * t0
+                        && follow_orbit(a, b, r, s_max, -(int64_t)t0,
+                                        (int64_t)s0, found, candidates) < 0)))
             return -1;
     }
     return 0;
@@ -396,8 +401,8 @@ static PyMethodDef kernel_methods[] = {
      "census_chunk(bound, a_lo, a_hi) -> (raw_triples, pairs, candidates)\n\n"
      "Scan the pairs whose smaller element a is in [a_lo, a_hi).  Raw\n"
      "triples are (a, b, c, r_ab, r_ac, r_bc, r_abc) tuples, in the order\n"
-     "of search._census_chunk_py, which returns the same list; the caller\n"
-     "merges chunks and drops duplicates."},
+     "of search._census_chunk_py, which returns the same list; no triple\n"
+     "appears twice, and the caller merges chunks by sorting."},
     {NULL, NULL, 0, NULL}};
 
 static struct PyModuleDef kernel_module = {

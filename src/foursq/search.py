@@ -183,8 +183,9 @@ def pell_orbit(a: int, b: int, r: int, s_max: int
     c0 = 0, 1, ... while a*c0+1 <= X, as the kernel scans them; c0 = 0 is
     the seed (s0, t0) = (1, 1), taken without a test.  X >= 1 for every
     pair (b >= a+2 and r <= (a+b)/2 give a(b-a) >= 2(r-1)), so c0 = 0 is
-    always scanned.  Both (t0, s0) and (-t0, s0) are followed.  Seeds have
-    s0 < r, so none is a candidate.
+    always scanned.  (t0, s0) is followed, and so is (-t0, s0) unless
+    (r-1)*s0 = a*t0, when its first step lands on (t0, s0) (see
+    Uniqueness).  Seeds have s0 < r, so none is a candidate.
 
     Termination: one step from either seed gives t > 0 and s > 0 (from
     (-t0, s0) because s0 is within the bound above, which makes
@@ -218,6 +219,35 @@ def pell_orbit(a: int, b: int, r: int, s_max: int
        the c before it.  So a c > b on an orbit is d+(0) = a + b + 2r, or
        the d+ of some c >= 1, which exceeds 4ab.  Nagell's seed bound puts
        every solution on such an orbit, which proves the lemma.
+
+    Uniqueness: no (s, t) is returned twice, from one seed or from two.
+    Only the completeness of the seeds rests on Nagell; tier-1 checks it
+    (`test_pell_orbit_finds_every_c_of_a_pair`, and
+    `test_orbit_iterates_are_the_unit_root_oracles_diophantine_triples`,
+    which also sees any repeat).  The rest is proved here, in three steps:
+    1. A walk from (t0, s0) meets d+(c0), d+(d+(c0)), ..., and one from
+       (-t0, s0) meets d-(c0), d+(d-(c0)), ... (lemma, steps 1 and 4).
+       d+ strictly increases with c, and d+ of any c >= 0 is at least
+       a + b + 2r > b, while c0 and d-(c0) are below b (step 3).  So
+       d+^i(x) = d+^j(y) with i >= j >= 1 gives d+^(i-j)(x) = y < b, so
+       i = j and x = y: two walks share an iterate only if they start
+       from the same c, and then they are the same walk.
+    2. Let w = (r-1)*s - a*t.  As a*t^2 = b*s^2 - (b-a),
+       (r-1)^2*s^2 - a^2*t^2 = a(b-a) - 2(r-1)*s^2, so for t >= 0, w has
+       the sign of a(b-a) - 2(r-1)*s^2, and w >= 0 at every seed.  One
+       step from (-t, s) is (b*s - r*t, r*s - a*t), whose w is -w, and
+       it has t' > 0.  So unless w = 0, the first step from (-t0, s0)
+       has 2(r-1)*s'^2 > a(b-a) >= 2(r-1)*X, and d-(c0) is no seed's c0.
+       If w = 0, then s' = s0 and t' = t0 (b*s0 = (r+1)*t0 follows from
+       (r^2-1)*s0 = a(r+1)*t0), so d-(c0) = c0 and the walk from
+       (-t0, s0) retraces that from (t0, s0): the scan skips it.
+    3. One step from (-t, s) is the inverse step from (t, s) with t
+       negated, so one step from (-t', s') leads back to (t0, s0), and
+       d-(c0) = d-(c0') only for c0 = c0'.
+    By 2 and 3 the walks the scan follows start from distinct c, and by
+    1 they share no iterate.  Only pairs {a, a+2} have w = 0 at the seed
+    c0 = 0 ((r-1)*1 = a*1 is r = a+1); tier-1 sees no other case up to
+    20,000.
     """
     seed_sq_max = a * (b - a) // (2 * (r - 1))
     seeds = 0
@@ -230,7 +260,9 @@ def pell_orbit(a: int, b: int, r: int, s_max: int
         t0 = perfect_square_root(b * c0 + 1) if c0 else 1
         if t0 is None:
             continue
-        for t, s in ((t0, s0), (-t0, s0)):
+        # the first step from (-t0, s0) lands on (t0, s0): d-(c0) = c0
+        retraced = (r - 1) * s0 == a * t0
+        for t, s in ((t0, s0),) if retraced else ((t0, s0), (-t0, s0)):
             while True:
                 t, s = r * t + b * s, a * t + r * s
                 if t > 0 and s > s_max:
@@ -346,9 +378,10 @@ def search_triples(bound: int, jobs: int = 1,
 
     Deterministic regardless of `jobs`: workers (threads on the kernel path,
     processes on the pure path) cover disjoint a-ranges and the merged
-    output is sorted and deduplicated.  It plans its chunks for
-    min(jobs, CPUs) workers and starts no more workers than chunks, so a
-    `jobs` far past the core count costs no more than one job per core.
+    output is sorted; no chunk finds a triple twice (see `pell_orbit`).
+    It plans its chunks for min(jobs, CPUs) workers and starts no more
+    workers than chunks, so a `jobs` far past the core count costs no more
+    than one job per core.
     """
     start = time.monotonic()
     use_kernel, _ = census_path(bound, force_pure, jobs)
@@ -368,9 +401,7 @@ def search_triples(bound: int, jobs: int = 1,
         raw.extend(found)
         pairs += p
         candidates += cand
-    # a pair {a, a+2} reaches the same orbit from both of its first seeds,
-    # so a triple can be found twice, with the same roots each time
-    merged = sorted(set(raw), key=lambda t: (t[2], t[1], t[0]))
+    merged = sorted(raw, key=lambda t: (t[2], t[1], t[0]))
     triples: List[Triple] = [(a, b, c, Certificate(*roots))
                              for a, b, c, *roots in merged]
     elapsed = time.monotonic() - start

@@ -3,6 +3,7 @@ import io
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from functools import partial
 from pathlib import Path
 
 from foursq.cli import main
@@ -47,3 +48,16 @@ def test_bench_cli_rows_match_direct_calls(monkeypatch):
     assert [(row["exit"], row["stdout_sha256"], row["stdout_bytes"])
             for row in rows] == [seq, _outcome(near_miss(751)), seq]
     assert [row["exit"] for row in rows] == ["0", "1", "0"]
+
+
+def test_bench_cli_takes_the_rows_in_turn(monkeypatch):
+    # two rounds for the fewest runs, 2: each round runs half of every row
+    monkeypatch.syspath_prepend(str(REPO / "benchmarks"))
+    from bench_cli import time_in_rounds
+    order = []
+    calls = [({"command": name}, partial(order.append, name), runs)
+             for name, runs in (("x", 4), ("y", 2), ("z", 3))]
+    rows = time_in_rounds(calls)
+    assert order == ["x", "x", "y", "z", "x", "x", "y", "z", "z"]
+    assert [(row["command"], row["runs"]) for _, row in rows] == [
+        ("x", 4), ("y", 2), ("z", 3)]

@@ -1,4 +1,3 @@
-import collections
 import itertools
 import math
 import os
@@ -181,9 +180,10 @@ def test_pell_orbit_finds_every_c_of_a_pair():
         assert all(r < s <= s_max and (s * s - 1) % a == 0 and t > 0
                    and t * t == b * ((s * s - 1) // a) + 1
                    for s, t in orbit)
-        want = {c for c in range(b + 1, bound + 1)
-                if a * c + 1 in squares and b * c + 1 in squares}
-        assert {(s * s - 1) // a for s, _ in orbit} == want, (a, b, r)
+        # each c once: no iterate repeats
+        want = [c for c in range(b + 1, bound + 1)
+                if a * c + 1 in squares and b * c + 1 in squares]
+        assert sorted((s * s - 1) // a for s, _ in orbit) == want, (a, b, r)
 
 
 def test_pell_orbit_seeds_step_to_positive_increasing_iterates():
@@ -308,16 +308,16 @@ def test_kernel_chunk_equals_pure_chunk(bound, kernel):
 # classes, so those windows pin the root order: (24, 477, 715) comes before
 # (24, 301, 495).
 CAP_WINDOWS = [
-    (500, 600, (2, 25_358, 61_135)),
+    (500, 600, (2, 25_358, 61_035)),
     (1_499_000, 1_500_000, (0, 999, 996)),
-    (120_000, 120_200, (0, 4_285, 7_088)),
+    (120_000, 120_200, (0, 4_285, 6_888)),
     (1_048_576, 1_048_577, (0, 1, 1)),
     (531_441, 531_442, (0, 1, 1)),
     (510_510, 510_511, (0, 45, 45)),
     (1_441_440, 1_441_441, (0, 3, 3)),
     (1_499_977, 1_499_978, (0, 1, 1)),
-    (8, 9, (2, 1_728, 25_798)),
-    (24, 25, (2, 1_992, 26_318)),
+    (8, 9, (2, 1_728, 25_796)),
+    (24, 25, (2, 1_992, 26_316)),
 ]
 
 
@@ -383,19 +383,20 @@ def test_property_tests_draw_the_same_examples_on_every_run():
 
 # the golden (triples, pairs scanned, candidates tested) of the census to
 # 200,000, which the pure path takes seconds to reach
-CENSUS_200K = (25, 1_398_856, 2_140_201)
+CENSUS_200K = (25, 1_398_856, 2_090_179)
 
 
 @pytest.mark.parametrize("bound,triples,pairs,candidates", [
     (200_000, *CENSUS_200K),
-    (1_000_000, 27, 7_973_991, 12_114_814),
+    (1_000_000, 27, 7_973_991, 11_864_774),
 ])
 def test_kernel_census_counts_past_the_pure_path(kernel, bound, triples,
                                                  pairs, candidates):
     # golden counts at bounds the pure path takes minutes to reach, where
-    # no parity test can catch a kernel that drifts
+    # no parity test can catch a kernel that drifts; no raw triple repeats
     found, got_pairs, got_candidates = kernel.census_chunk(bound, 2,
                                                            bound - 1)
+    assert len(set(found)) == len(found)
     assert len({t[:3] for t in found}) == triples
     assert (got_pairs, got_candidates) == (pairs, candidates)
 
@@ -492,7 +493,7 @@ def test_kernel_root_bound_holds_at_the_cap(build_kernel):
     bound = tight.MAX_BOUND
     found, pairs, candidates = tight.census_chunk(bound, 2, bound - 1)
     assert len({t[:3] for t in found}) == 27
-    assert (pairs, candidates) == (12_331_025, 18_702_412)
+    assert (pairs, candidates) == (12_331_025, 18_327_365)
     half = build_kernel(MAX_ROOTS=64)
     half.census_chunk(bound, 120_119, 120_120)
     with pytest.raises(RuntimeError, match="MAX_ROOTS"):
@@ -900,25 +901,48 @@ def test_unit_root_oracle_equals_both_census_paths(kernel, monkeypatch,
 
 def test_orbit_iterates_are_the_unit_root_oracles_diophantine_triples(
         unit_root_oracle, orbits_to_oracle_bound):
+    # as lists, so an iterate met twice fails: each Diophantine triple lies
+    # on exactly one walk (the uniqueness of pell_orbit), including those of
+    # the pairs {a, a+2}, whose walk from (-1, 1) would retrace that from
+    # (1, 1)
     _, diophantine, _ = unit_root_oracle
     assert len(diophantine) == 45_903
-    assert {(a, b, (s * s - 1) // a)
-            for a, b, _, _, orbit in orbits_to_oracle_bound
-            for s, _ in orbit} == {(a, b, c) for a, b, c, _ in diophantine}
+    assert sorted((a, b, (s * s - 1) // a)
+                  for a, b, _, _, orbit in orbits_to_oracle_bound
+                  for s, _ in orbit) == sorted(
+                      (a, b, c) for a, b, c, _ in diophantine)
 
 
-def test_orbit_iterates_repeat_only_for_pairs_a_a_plus_2(
-        orbits_to_oracle_bound):
-    # why search_triples deduplicates: from the seed (-1, 1), the first step
-    # of a pair {a, a+2} is (1, 1), the seed of its other orbit, so the two
-    # orbits of c0 = 0 are one, followed twice; no other iterate repeats
-    iterates = collections.Counter(
-        (a, b, (s * s - 1) // a)
-        for a, b, _, _, orbit in orbits_to_oracle_bound for s, _ in orbit)
-    assert sum(iterates.values()) == 50_910
-    repeats = {triple: n for triple, n in iterates.items() if n > 1}
-    assert sum(n - 1 for n in repeats.values()) == 5_007
-    assert all(n == 2 and b == a + 2 for (a, b, _), n in repeats.items())
+def test_no_raw_triple_repeats_on_the_pure_path():
+    # (5, 7, 24) is d+(0) of the pair {5, 7}, on the walk from (1, 1) and,
+    # without the guard of pell_orbit, again on the walk from (-1, 1)
+    found, pairs, candidates = _census_chunk_py(ORACLE_BOUND, 2,
+                                                ORACLE_BOUND - 1)
+    assert len(set(found)) == len(found) == 20
+    assert [t[:3] for t in found].count((5, 7, 24)) == 1
+    assert (pairs, candidates) == (111_810, 167_354)
+
+
+def test_the_guard_holds_exactly_when_the_walk_from_minus_t0_retraces():
+    # for every seed (t0, s0) of every pair to 3000: one step from
+    # (-t0, s0) gives (t0, s0) exactly when (r-1)*s0 = a*t0, and otherwise
+    # it lands past the seed bound, so on no seed (steps 2 and 3 of the
+    # uniqueness argument of pell_orbit, with w = (r-1)*s - a*t)
+    retraced = 0
+    for a, b, r in find_pairs(3000):
+        seed_sq_max = a * (b - a) // (2 * (r - 1))
+        for s0 in range(1, math.isqrt(seed_sq_max) + 1):
+            c0, rest = divmod(s0 * s0 - 1, a)
+            t0 = math.isqrt(b * c0 + 1)
+            if rest or t0 * t0 != b * c0 + 1:
+                continue
+            t, s = b * s0 - r * t0, r * s0 - a * t0
+            assert (r - 1) * s - a * t == -((r - 1) * s0 - a * t0)
+            guard = (r - 1) * s0 == a * t0
+            assert guard == ((t, s) == (t0, s0)), (a, b, s0)
+            assert guard or s * s > seed_sq_max, (a, b, s0)
+            retraced += guard
+    assert retraced == 2997  # c0 = 0 of each {a, a+2}, a = 2..2998
 
 
 def test_irregular_diophantine_triples_exceed_4ab(unit_root_oracle):
@@ -947,7 +971,7 @@ def test_orbit_steps_give_the_lemmas_d_plus_and_d_minus():
                 assert (c_next
                         == a + b + c + 2 * a * b * c + sign * 2 * r * s * t)
                 steps += 1
-    assert steps == 11_766
+    assert steps == 10_264
 
 
 def test_seeds_meet_the_lemmas_bounds(orbits_to_oracle_bound):
@@ -955,8 +979,10 @@ def test_seeds_meet_the_lemmas_bounds(orbits_to_oracle_bound):
     # every pair to ORACLE_BOUND, from a scan of c0 over the seed bound X
     # that counts the s0 as pell_orbit does: d+(c0) > 4ab*c0,
     # d+ * d- = (c0-a-b)^2 - 4(ab+1), and 0 <= d-(c0) < b, where d-(c0) is
-    # the c of the first step from (-t0, s0)
-    seeds = 0
+    # the c of the first step from (-t0, s0).  Observed, not proved: the
+    # guard (r-1)*s0 = a*t0 of pell_orbit holds only at c0 = 0 of the
+    # pairs {a, a+2}
+    seeds = retraced = 0
     for a, b, r, tested, _ in orbits_to_oracle_bound:
         seed_sq_max = a * (b - a) // (2 * (r - 1))
         squares = 0
@@ -976,8 +1002,11 @@ def test_seeds_meet_the_lemmas_bounds(orbits_to_oracle_bound):
             assert d_plus * d_minus == (c0 - a - b) ** 2 - 4 * (a * b + 1)
             assert (r * s0 - a * t0) ** 2 == a * d_minus + 1
             assert 0 <= d_minus < b, (a, b, c0)
+            if (r - 1) * s0 == a * t0:
+                assert c0 == 0 and b == a + 2, (a, b, c0)
+                retraced += 1
         assert squares == tested, (a, b, r)
-    assert seeds == 111_885
+    assert (seeds, retraced) == (111_885, ORACLE_BOUND - 3)
 
 
 def test_brute_oracle_smallest_triple():
