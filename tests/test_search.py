@@ -389,7 +389,7 @@ CENSUS_200K = (25, 1_398_856, 2_090_179)
 @pytest.mark.parametrize("bound,triples,pairs,candidates", [
     (200_000, *CENSUS_200K),
     (1_000_000, 27, 7_973_991, 11_864_774),
-])
+], ids=["200000", "1000000"])  # by bound, so a re-pinned count keeps the id
 def test_kernel_census_counts_past_the_pure_path(kernel, bound, triples,
                                                  pairs, candidates):
     # golden counts at bounds the pure path takes minutes to reach, where
