@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import os
@@ -911,6 +912,36 @@ def test_orbit_iterates_are_the_unit_root_oracles_diophantine_triples(
                   for a, b, _, _, orbit in orbits_to_oracle_bound
                   for s, _ in orbit) == sorted(
                       (a, b, c) for a, b, c, _ in diophantine)
+
+
+def test_orbit_iterates_repeat_only_for_pairs_a_a_plus_2(
+        orbits_to_oracle_bound):
+    # why pell_orbit has its guard: a scan that follows both (t0, s0) and
+    # (-t0, s0) from every seed meets an iterate twice only for a pair
+    # {a, a+2}, whose first step from (-1, 1) is (1, 1), the seed of its
+    # other walk; pell_orbit returns each of these iterates once
+    iterates = collections.Counter()
+    for a, b, r, _, _ in orbits_to_oracle_bound:
+        s_max = math.isqrt(a * ORACLE_BOUND + 1)
+        seed_sq_max = a * (b - a) // (2 * (r - 1))
+        for c0 in range((seed_sq_max - 1) // a + 1):
+            s0, t0 = math.isqrt(a * c0 + 1), math.isqrt(b * c0 + 1)
+            if s0 * s0 != a * c0 + 1 or t0 * t0 != b * c0 + 1:
+                continue
+            for t, s in ((t0, s0), (-t0, s0)):
+                while True:
+                    t, s = r * t + b * s, a * t + r * s
+                    if t > 0 and s > s_max:
+                        break
+                    if r < s <= s_max:
+                        iterates[a, b, (s * s - 1) // a] += 1
+    assert sum(iterates.values()) == 50_910
+    repeats = {triple: n for triple, n in iterates.items() if n > 1}
+    assert sum(n - 1 for n in repeats.values()) == 5_007
+    assert all(n == 2 and b == a + 2 for (a, b, _), n in repeats.items())
+    assert sorted((a, b, (s * s - 1) // a)
+                  for a, b, _, _, orbit in orbits_to_oracle_bound
+                  for s, _ in orbit) == sorted(iterates)
 
 
 def test_no_raw_triple_repeats_on_the_pure_path():
