@@ -349,7 +349,9 @@ def test_prove_json(capsys):
 # and for prove, recorded before its identities read forms.triple_conditions
 # and re-pinned when I10 became a ring identity (only the I10 row changed).
 # The deep seq ranges, recorded while conic points were still reached by
-# stepping from index 0, pin the first point of a range far from 0.
+# stepping from index 0, pin the first point of a range far from 0.  The
+# single-variant gen digests were recorded while each index's power lists
+# went only up to the degrees of the variant's own row.
 GOLDEN_STDOUT = [
     ("prove",
      "edb0b7bef29b8683cfae9d4e349e0c97ca227f13cd7cb836b87d935d5b4c57f8"),
@@ -361,6 +363,18 @@ GOLDEN_STDOUT = [
      "13d8554056dd1c7dd34b9fe5cd8708cf32a29bdd6317c62e2f28e2a9c747dbe3"),
     ("gen -60 60 both --format table",
      "e200d5c5c0fe9a39eacab1870407a786ff91320f436b9ee47bf135020a84c60b"),
+    ("gen -60 60 main --format json",
+     "b34207f09296c390333ba7bf5d3d2d55388a81cde2066e782b478ef97c5bb694"),
+    ("gen -60 60 main --format csv",
+     "c25d09486785a8b8ee3a50e52a9470a35daf3391dd76a81df65c097bd232ec3f"),
+    ("gen -60 60 main --format table",
+     "89eb820e622b68303e893bfdf694be55c29a40a33518d891563846861dae2b4b"),
+    ("gen -60 60 companion --format json",
+     "bbc9c41db922992f2ccb9ebe34b606c938b76ba00a33ffbe6e81221cba9f2760"),
+    ("gen -60 60 companion --format csv",
+     "f4e22f45d488c22583c37fb13f3679adc8808c389cade3f95060efd455219436"),
+    ("gen -60 60 companion --format table",
+     "5ff705d13ad101a155369de88f36d3218d4b8e9045276b003b0361529aa57dc3"),
     ("seq P -500 500",
      "a0dc3f6afd0af3f5e5eda80379f0ab53b5a0cdd6afcb656222b0ca0c70a8a192"),
     ("seq A -500 500",
