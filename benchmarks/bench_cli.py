@@ -22,9 +22,9 @@ cache; perfbench's setup_s times `import foursq.cli` alone.
 All rows run in interleaved rounds, as many as the fewest runs of a row:
 each round calls every row in turn, with each row's runs split evenly over
 the rounds, so that a slow stretch of a shared host touches every row alike
-instead of moving one.  Rows are summarized and printed as bench_search.py's
-are; every run of a row must give the same exit code, stdout digest and
-byte count.
+instead of moving one.  Rows are timed, summarized and printed through
+bench_search.py's `time_in_rounds` and `print_row`; every run of a row must
+give the same exit code, stdout digest and byte count.
 
     python benchmarks/bench_cli.py
 
@@ -45,7 +45,7 @@ from pathlib import Path
 
 # bench_search puts src/ on sys.path
 from bench_search import (ROOT, append_run, environment, print_row,
-                          summarize, timed)
+                          time_in_rounds)
 
 from foursq import make_main
 from foursq.cli import main as cli_main
@@ -108,20 +108,6 @@ def fresh(argv):
                           env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
     out = proc.stdout
     return proc.returncode, hashlib.sha256(out).hexdigest(), len(out)
-
-
-def time_in_rounds(calls):
-    """Time (fields, call, runs) rows in min(runs) rounds, every row once a
-    round, with its runs split evenly over the rounds.  Returns the
-    (outcome, row) of each row, as bench_search.time_row does."""
-    rounds = min(runs for _, _, runs in calls)
-    done = [[] for _ in calls]
-    for k in range(rounds):
-        for (_, call, runs), row_runs in zip(calls, done):
-            share = runs * (k + 1) // rounds - runs * k // rounds
-            row_runs.extend(timed(call) for _ in range(share))
-    return [summarize(fields, *zip(*row_runs))
-            for (fields, _, _), row_runs in zip(calls, done)]
 
 
 def main(argv=None):

@@ -6,12 +6,16 @@
 - when that path is the kernel, the pure path at one job.
 
 Pure rows are timed only up to PURE_UP_TO, so without the kernel a larger
-bound has no row and is skipped with a note.  Every row of a bound must
-give the triples, pairs scanned and candidates tested of its first row,
-which checks the kernel against the pure path and two jobs against one.
-Each row prints as one line of `key value` pairs: the bound, path and job
-count, the number of runs, the best, quartiles and worst of their wall
-times in seconds, and the census counts.
+bound has no row and is skipped with a note; a bound the census refuses
+(below 3, or past the pure cap without the kernel) is a usage error.  A
+bound's rows run in interleaved rounds (`time_in_rounds`, which
+bench_cli.py shares), so that a slow stretch of a shared host touches
+every row alike.  Every row of a bound must give the triples, pairs
+scanned and candidates tested of its first row, which checks the kernel
+against the pure path and two jobs against one.  Each row prints as one
+line of `key value` pairs: the bound, path and job count, the number of
+runs, the best, quartiles and worst of their wall times in seconds, and
+the census counts.
 
     python benchmarks/bench_search.py
     python benchmarks/bench_search.py --bounds 10000 20000 100000
@@ -32,6 +36,7 @@ import statistics
 import subprocess
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -52,19 +57,22 @@ def _git(*args):
 
 def sides(bound):
     """The (path, jobs) of each row timed at `bound`."""
-    try:
-        path = "kernel" if census_path(bound)[0] else "pure"
-    except DomainError:  # past the pure cap, so no row
-        path = "pure"
+    path = "kernel" if census_path(bound)[0] else "pure"
     rows = [(path, 1), (path, 2)] + [("pure", 1)] * (path == "kernel")
     return [(p, jobs) for p, jobs in rows if p == "kernel" or bound <= PURE_UP_TO]
 
 
 def census_bound(text):
-    """A --bounds value: a census needs a bound of at least 3."""
-    if int(text) < 3:
+    """A --bounds value: a bound of at least 3 that the census can run to
+    (`census_path` refuses a pure census past its cap)."""
+    bound = int(text)
+    if bound < 3:
         raise argparse.ArgumentTypeError(f"a bound is at least 3, not {text}")
-    return int(text)
+    try:
+        census_path(bound)
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return bound
 
 
 def timed(call):
@@ -87,9 +95,18 @@ def summarize(fields, outcomes, times):
         (round(t, 6) for t in spread)))}
 
 
-def time_row(fields, call, runs):
-    """Call `call` `runs` times in a row, and summarize the runs."""
-    return summarize(fields, *zip(*(timed(call) for _ in range(runs))))
+def time_in_rounds(calls):
+    """Time (fields, call, runs) rows in min(runs) rounds, every row once a
+    round, with its runs split evenly over the rounds, and summarize each
+    row's runs.  Returns the (outcome, row) of each row."""
+    rounds = min(runs for _, _, runs in calls)
+    done = [[] for _ in calls]
+    for k in range(rounds):
+        for (_, call, runs), row_runs in zip(calls, done):
+            share = runs * (k + 1) // rounds - runs * k // rounds
+            row_runs.extend(timed(call) for _ in range(share))
+    return [summarize(fields, *zip(*row_runs))
+            for (fields, _, _), row_runs in zip(calls, done)]
 
 
 def print_row(row):
@@ -106,19 +123,22 @@ def census(bound, path, jobs):
 
 
 def time_bounds(bounds):
-    """Time and print every row of every bound; stop at a row whose census
-    differs from its bound's first."""
+    """Time and print every row of every bound, a bound's rows in
+    interleaved rounds; stop before printing a row whose census differs
+    from its bound's first."""
     rows = []
     for bound in bounds:
         planned = sides(bound)
         if not planned:
             print(f"note: bound {bound} skipped: the pure path is timed only "
                   f"up to {PURE_UP_TO}", file=sys.stderr)
-        first = None
-        for path, jobs in planned:
-            got, row = time_row({"bound": bound, "path": path, "jobs": jobs},
-                                lambda: census(bound, path, jobs), REPEATS)
-            first = first or got
+            continue
+        timed_rows = time_in_rounds(
+            [({"bound": bound, "path": path, "jobs": jobs},
+              partial(census, bound, path, jobs), REPEATS)
+             for path, jobs in planned])
+        first = timed_rows[0][0]
+        for (path, jobs), (got, row) in zip(planned, timed_rows):
             if got != first:
                 raise SystemExit(f"{path} at {jobs} jobs differs from "
                                  f"{planned[0][0]} at 1 job at {bound}")

@@ -28,39 +28,29 @@ INDEX_CAP = 10_000  # sequence indices accepted on the command line
 CSV_COLUMNS = ["n", "variant", "a", "r", "b", "c", "s", "admissible"]
 
 
-def _opt_str(v) -> Optional[str]:
-    return None if v is None else str(v)
+def _certificate_record(cert: Certificate) -> dict:
+    """The JSON form of a verify certificate.  A `Certificate` is a tuple,
+    which `json` would write as an array of numbers."""
+    return {"ab": str(cert.r_ab), "ac": str(cert.r_ac), "bc": str(cert.r_bc),
+            "abc": str(cert.r_abc)}
 
 
-def _certificate_record(cert: Certificate, ab: Optional[str] = None,
-                        abc: Optional[str] = None) -> dict:
-    """The JSON form of a certificate, built only for JSON output (`_emit`
-    and the verify payload), so that CSV and table rows, which never print
-    it, do not pay for its strings.  `ab` and `abc` are str(cert.r_ab) and
-    str(cert.r_abc) when the caller has them already.  A `Certificate` is a
-    tuple, which `json` would write as an array of numbers."""
-    return {
-        "ab": str(cert.r_ab) if ab is None else ab,
-        "ac": str(cert.r_ac), "bc": str(cert.r_bc),
-        "abc": str(cert.r_abc) if abc is None else abc,
-    }
-
-
-def _record(n: Optional[int], variant: str, a: int, r: int, b: int, c: int,
-            s: int, admissible: bool, cert: Certificate) -> dict:
-    """One gen or search row, in CSV_COLUMNS order plus its certificate
-    (left as a `Certificate` until `_emit` turns it into its JSON record)."""
-    return {
-        "n": _opt_str(n),
-        "variant": variant,
-        "a": str(a),
-        "r": str(r),
-        "b": str(b),
-        "c": str(c),
-        "s": str(s),
-        "admissible": admissible,
-        "certificate": cert,
-    }
+def _row(fmt: str, n: Optional[int], variant: str, a: int, r: int, b: int,
+         c: int, s: int, admissible: bool, cert: Certificate):
+    """One gen or search member as the row it is printed as: for JSON a
+    record with its certificate, otherwise the list of its CSV_COLUMNS
+    strings, with no certificate strings built.  In every gen and search
+    member the certificate's r_ab is |r| and its r_abc is s, so the record
+    reuses the strings of r, its sign dropped, and of s."""
+    r_str, s_str = str(r), str(s)
+    if fmt != "json":
+        return ["" if n is None else str(n), variant, str(a), r_str, str(b),
+                str(c), s_str, str(admissible)]
+    return {"n": None if n is None else str(n), "variant": variant,
+            "a": str(a), "r": r_str, "b": str(b), "c": str(c), "s": s_str,
+            "admissible": admissible,
+            "certificate": {"ab": r_str.lstrip("-"), "ac": str(cert.r_ac),
+                            "bc": str(cert.r_bc), "abc": s_str}}
 
 
 def _emit_json(command: str, payload: dict) -> None:
@@ -68,34 +58,21 @@ def _emit_json(command: str, payload: dict) -> None:
     print(json.dumps(doc, indent=2))
 
 
-def _emit_table(rows: list) -> None:
-    widths = [max(map(len, col)) for col in zip(CSV_COLUMNS, *rows)]
-    for r in [CSV_COLUMNS, *rows]:
-        print("  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip())
-
-
-def _emit(fmt: str, command: str, payload: dict, records: list) -> None:
-    """Print gen or search output: the whole JSON `payload`, or `records`
-    as CSV or as a table of the same string rows.  `payload` holds the
-    `records` dicts themselves, so JSON output converts their certificates
-    in place.  In every gen and search record the certificate's r_ab is |r|
-    and its r_abc is s, so their strings are the record's r, its sign
-    dropped, and s.  No CSV field needs quoting (decimal integers with an
-    optional sign, fixed words, the empty n of search rows), so a row is
-    its fields joined by commas, as `csv.writer` would write it."""
+def _emit(fmt: str, command: str, payload: dict, rows: list) -> None:
+    """Print gen or search output: the whole JSON `payload`, which holds
+    the `rows` records, or the `rows` string lists as CSV or as a table.
+    No CSV field needs quoting (decimal integers with an optional sign,
+    fixed words, the empty n of search rows), so a row is its fields
+    joined by commas, as `csv.writer` would write it."""
     if fmt == "json":
-        for rec in records:
-            rec["certificate"] = _certificate_record(
-                rec["certificate"], rec["r"].lstrip("-"), rec["s"])
         _emit_json(command, payload)
-        return
-    rows = [["" if rec[col] is None else str(rec[col]) for col in CSV_COLUMNS]
-            for rec in records]
-    if fmt == "csv":
+    elif fmt == "csv":
         for row in [CSV_COLUMNS, *rows]:
             sys.stdout.write(",".join(row) + "\n")
     else:
-        _emit_table(rows)
+        widths = [max(map(len, col)) for col in zip(CSV_COLUMNS, *rows)]
+        for row in [CSV_COLUMNS, *rows]:
+            print("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip())
 
 
 def _check_index_range(start: int, stop: int) -> None:
@@ -111,15 +88,15 @@ def _cmd_gen(args) -> int:
     variants = ["main", "companion"] if args.variant == "both" else [args.variant]
     makers = [make_main if variant == "main" else make_companion
               for variant in variants]
-    records = []
+    rows = []
     # one point and one set of power lists per index, for every variant
-    for at in index_points(args.start, args.stop, variants):
+    for at in index_points(args.start, args.stop):
         for make in makers:
             cand = make(at.n, at)
-            records.append(_record(cand.n, cand.variant, cand.a, cand.r,
-                                   cand.b, cand.c, cand.s, cand.admissible,
-                                   cand.certificate()))
-    _emit(args.format, "gen", {"records": records}, records)
+            rows.append(_row(args.format, cand.n, cand.variant, cand.a,
+                             cand.r, cand.b, cand.c, cand.s, cand.admissible,
+                             cand.certificate()))
+    _emit(args.format, "gen", {"records": rows}, rows)
     return 0
 
 
@@ -133,7 +110,8 @@ def _cmd_verify(args) -> int:
             "certificate": (_certificate_record(outcome.certificate)
                             if outcome.ok else None),
             "first_failure": outcome.first_failure,
-            "failing_value": _opt_str(outcome.failing_value),
+            "failing_value": (None if outcome.failing_value is None
+                              else str(outcome.failing_value)),
         }
         _emit_json("verify", payload)
     else:
@@ -155,19 +133,19 @@ def _cmd_search(args) -> int:
     print(f"search path: {'kernel' if use_kernel else 'pure Python'} "
           f"({reason})", file=sys.stderr)
     result = search_triples(args.max, jobs=args.jobs, force_pure=args.pure)
-    records = [_record(None, "external", a, cert.r_ab, b, c, cert.r_abc,
-                       True, cert)
-               for a, b, c, cert in result.triples]
+    rows = [_row(args.format, None, "external", a, cert.r_ab, b, c,
+                 cert.r_abc, True, cert)
+            for a, b, c, cert in result.triples]
     _emit(args.format, "search", {
         "bound": result.bound,
-        "count": len(records),
-        "triples": records,
+        "count": len(rows),
+        "triples": rows,
         "stats": {
             "pairs_scanned": result.stats.pairs_scanned,
             "candidates_tested": result.stats.candidates_tested,
         },
-    }, records)
-    print(f"search --max {result.bound}: {len(records)} triples, "
+    }, rows)
+    print(f"search --max {result.bound}: {len(rows)} triples, "
           f"{result.stats.pairs_scanned} pairs scanned, "
           f"{result.stats.candidates_tested} candidates tested, "
           f"{result.stats.elapsed:.3f}s", file=sys.stderr)

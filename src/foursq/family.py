@@ -8,9 +8,10 @@ Two parametrized families indexed by n (through the conic point
 
 each is a row of a, r, b, c, s tables in `forms.FAMILIES`, evaluated by one
 constructor that checks `forms.triple_conditions` on the integers.  The
-constructor reads an `IndexPoint`, the conic point of n with its power
-lists; `index_points` steps one along an index range, so that every
-variant evaluated at an index shares it.
+constructor reads an `IndexPoint`, the conic point of n with the power
+lists of its coordinates up to `forms.FAMILY_DEGREE`, enough for either
+row; `index_points` steps one along an index range, so that both variants
+evaluated at an index share it.
 
 Plus the two elementary constructions: completing a pair (a, b) with
 ab+1 = r^2 to c = a + b + 2r, and the degenerate a=1 family b = k^2-1,
@@ -18,7 +19,7 @@ c = (k+1)^2 - 1.
 """
 
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional
 
 from . import forms
 from .certify import Certificate, DomainError, perfect_square_root
@@ -68,8 +69,8 @@ def _admissible(a: int, b: int, c: int) -> bool:
     return a > 1 and b > 1 and c > 1 and a != b and a != c and b != c
 
 
-# variant -> (its forms.FAMILIES row, that row's integral forms, their
-# highest x and y degrees); rebuilt when the row object changes
+# variant -> (its forms.FAMILIES row, that row's integral forms); rebuilt
+# when the row object changes
 _INTEGRAL_ROWS = {}
 
 
@@ -77,17 +78,15 @@ def _integral_row(variant: str) -> tuple:
     row = forms.FAMILIES[variant]
     cached = _INTEGRAL_ROWS.get(variant)
     if cached is None or cached[0] is not row:
-        integral = tuple(forms.integral_form(table) for table in row)
-        cached = _INTEGRAL_ROWS[variant] = (row, integral,
-                                            forms.degrees(*integral))
-    return cached[1:]
+        cached = _INTEGRAL_ROWS[variant] = (
+            row, tuple(forms.integral_form(table) for table in row))
+    return cached[1]
 
 
 class IndexPoint(NamedTuple):
-    """The conic point of index n with the power lists [1, x, x^2, ...] and
-    [1, y, y^2, ...] of its coordinates, up to the highest degrees of the
-    family rows it was built for: what the constructor of each of those
-    variants reads."""
+    """The conic point of index n with the power lists [1, x, ..., x^d] and
+    [1, y, ..., y^d] of its coordinates, d = `forms.FAMILY_DEGREE`: all
+    that the constructor of either family row reads."""
 
     n: int
     point: ConicPoint
@@ -95,40 +94,32 @@ class IndexPoint(NamedTuple):
     ys: list
 
 
-def _index_point(n: int, pt: ConicPoint, variants: Sequence[str]
-                 ) -> IndexPoint:
-    degrees = [_integral_row(variant)[1] for variant in variants]
-    return IndexPoint(n, pt,
-                      forms.powers(pt.x, max(dx for dx, _ in degrees)),
-                      forms.powers(pt.y, max(dy for _, dy in degrees)))
-
-
-def index_points(start: int, stop: int, variants: Sequence[str]
-                 ) -> Iterator[IndexPoint]:
-    """The IndexPoint of each index start..stop for the rows of `variants`:
-    conic_point(start), then one conic step (x, y) -> (4x - y, x) per
-    index, each point checked on the conic by `ConicPoint`."""
+def index_points(start: int, stop: int) -> Iterator[IndexPoint]:
+    """The IndexPoint of each index start..stop: conic_point(start), then
+    one conic step (x, y) -> (4x - y, x) per index, each point checked on
+    the conic by `ConicPoint`."""
     pt = None
     for n in range(start, stop + 1):
         pt = (conic_point(n) if pt is None
               else ConicPoint(4 * pt.x - pt.y, pt.x))
-        yield _index_point(n, pt, variants)
+        yield IndexPoint(n, pt, forms.powers(pt.x, forms.FAMILY_DEGREE),
+                         forms.powers(pt.y, forms.FAMILY_DEGREE))
 
 
 def _construct(n: int, variant: str, at: Optional[IndexPoint]
                ) -> TripleCandidate:
     """a, r, b, c, s from the `forms.FAMILIES` row of `variant` at the
-    point of index n (`at`, or conic_point(n) when it is None), every
-    invariant checked with `if` (not `assert`, so also under python -O)."""
-    integral, (dx, dy) = _integral_row(variant)
+    point of index n (`at`, or the one of index_points(n, n) when it is
+    None), every invariant checked with `if` (not `assert`, so also under
+    python -O)."""
     if at is None:
-        at = _index_point(n, conic_point(n), [variant])
-    elif at.n != n or len(at.xs) <= dx or len(at.ys) <= dy:
-        raise ValueError(f"the IndexPoint of index {at.n} was not built for "
-                         f"the {variant} row at index {n}")
+        at, = index_points(n, n)
+    elif at.n != n:
+        raise ValueError(f"the IndexPoint of index {at.n} is not the one of "
+                         f"index {n}")
     pt = at.point
     values = []
-    for what, (den, terms) in zip("arbcs", integral):
+    for what, (den, terms) in zip("arbcs", _integral_row(variant)):
         num = forms.integral_value(terms, at.xs, at.ys)
         v, rem = divmod(num, den)
         if rem:

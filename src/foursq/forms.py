@@ -9,8 +9,9 @@ conditions every member meets.
 
 Tables are evaluated over the integers: `integral_form` scales a table by
 the common denominator of its coefficients once, and `integral_value` sums
-that form at a point from the power lists of x and y, which the tables of
-one family row share; the caller divides by the denominator once.
+that form at a point from the power lists of x and y, which every family
+table shares up to FAMILY_DEGREE; the caller divides by the denominator
+once.
 `evaluate` does all three for one table.
 
 The parameter point (x, y) runs over integer solutions of x^2 - 4xy + y^2 = 1.
@@ -95,6 +96,10 @@ COMP_S = {
 # Each family as its a, r, b, c, s tables, in that order; both share a.
 FAMILIES = {"main": (ELEM_A, ROOT_R, ELEM_B, ELEM_C, ROOT_S),
             "companion": (ELEM_A, COMP_R, COMP_B, COMP_C, COMP_S)}
+
+# The highest x- or y-degree of any table in FAMILIES, from the quintic s
+# forms: the power lists of x and y that evaluate every family row.
+FAMILY_DEGREE = 5
 
 
 def triple_conditions(a, r, b, c, s) -> tuple:

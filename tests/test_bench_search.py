@@ -47,11 +47,17 @@ def test_bench_search_rows_agree_with_the_census(run, pure_up_to, sides):
         assert "bound 2000 skipped" in proc.stderr
 
 
-@pytest.mark.parametrize("bound", ["0", "2"])
-def test_bench_search_refuses_a_bound_below_3(bound):
+# a bound below 3, and one past the pure census cap, which no census runs
+# to with or without the kernel, so the census's own message names it
+@pytest.mark.parametrize("bound,message", [
+    ("0", "a bound is at least 3"),
+    ("2", "a bound is at least 3"),
+    ("20000000", "bound 20000000 exceeds the pure census cap 10000000"),
+], ids=["0", "2", "20000000"])
+def test_bench_search_refuses_a_bound_below_3(bound, message):
     proc = subprocess.run(
         [sys.executable, "benchmarks/bench_search.py", "--bounds", bound],
         cwd=REPO, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2
-    assert "a bound is at least 3" in proc.stderr
+    assert message in proc.stderr
     assert "Traceback" not in proc.stderr

@@ -237,15 +237,13 @@ def test_csv_equals_csv_writer_on_the_json_rows(capsys, argv, key):
 def test_csv_equals_csv_writer_with_a_negative_r_and_an_empty_n(capsys):
     # neither the families nor the census print a negative r, but a row
     # with one must come out as csv.writer writes it too
-    records = [
-        cli._record(-1, "main", 8, -3, 1, 15, 11, False,
-                    Certificate(3, 5, 2, 11)),
-        cli._record(None, "external", 5, 6, 7, 24, 29, True,
-                    Certificate(6, 11, 13, 29)),
+    rows = [
+        cli._row("csv", -1, "main", 8, -3, 1, 15, 11, False,
+                 Certificate(3, 5, 2, 11)),
+        cli._row("csv", None, "external", 5, 6, 7, 24, 29, True,
+                 Certificate(6, 11, 13, 29)),
     ]
-    rows = [["" if rec[col] is None else str(rec[col])
-             for col in cli.CSV_COLUMNS] for rec in records]
-    cli._emit("csv", "gen", {"records": records}, records)
+    cli._emit("csv", "gen", {"records": rows}, rows)
     out = capsys.readouterr().out
     assert out == _csv_writer_text([cli.CSV_COLUMNS, *rows])
     assert out.splitlines()[1:] == ["-1,main,8,-3,1,15,11,False",

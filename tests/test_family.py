@@ -155,20 +155,16 @@ def test_shared_index_points_give_each_variant_its_own_rows():
     # gen's route: one stepped point and power lists per index for both
     # variants, equal to each constructor's own conic_point(n), which the
     # candidates hold as x and y
-    variants = ["main", "companion"]
     for lo, hi in ((-8, 8), (1500, 1503), (-10_000, -9_999)):
-        for at in family.index_points(lo, hi, variants):
+        for at in family.index_points(lo, hi):
             assert make_main(at.n, at) == make_main(at.n)
             assert make_companion(at.n, at) == make_companion(at.n)
 
 
 def test_an_index_point_for_another_index_or_row_is_refused():
-    at, = family.index_points(3, 3, ["companion"])
+    at, = family.index_points(3, 3)
     with pytest.raises(ValueError, match="index 3"):
         make_companion(4, at)
-    # the companion row's x-degree is 3, the main row's 5
-    with pytest.raises(ValueError, match="main row"):
-        make_main(3, at)
     assert make_companion(3, at) == make_companion(3)
 
 

@@ -42,6 +42,14 @@ def test_tables_are_integral_on_the_conic(name):
             assert num % 2 == 0, (x, y)
 
 
+@pytest.mark.parametrize("name", sorted(FAMILY_TABLES))
+def test_family_tables_stay_within_the_family_degree(name):
+    # every IndexPoint holds powers of x and y up to FAMILY_DEGREE, so a
+    # family table of higher degree must fail here, not inside gen
+    dx, dy = forms.degrees(forms.integral_form(FAMILY_TABLES[name]))
+    assert max(dx, dy) <= forms.FAMILY_DEGREE
+
+
 def _naive(table, x, y):
     return sum((Fraction(coef) * x ** i * y ** j
                 for (i, j), coef in table.items()), Fraction(0))
