@@ -8,10 +8,11 @@ Two parametrized families indexed by n (through the conic point
 
 each is a row of a, r, b, c, s tables in `forms.FAMILIES`, evaluated by one
 constructor that checks `forms.triple_conditions` on the integers.  The
-constructor reads an `IndexPoint`, the conic point of n with the power
-lists of its coordinates up to `forms.FAMILY_DEGREE`, enough for either
-row; `index_points` steps one along an index range, so that both variants
-evaluated at an index share it.
+constructor evaluates each table through its normal form c0(y) + x*c1(y)
+modulo the conic (`symbolic.reduce`, the prover's reduction), a sum over
+the basis y^0..y^d and x*y^0..x*y^(d-1), d = `forms.FAMILY_DEGREE`, that
+an `IndexPoint` holds for either row; `index_points` steps one along an
+index range, so that both variants evaluated at an index share it.
 
 Plus the two elementary constructions: completing a pair (a, b) with
 ab+1 = r^2 to c = a + b + 2r, and the degenerate a=1 family b = k^2-1,
@@ -21,7 +22,7 @@ c = (k+1)^2 - 1.
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional
 
-from . import forms
+from . import forms, symbolic
 from .certify import Certificate, DomainError, perfect_square_root
 from .sequences import ConicPoint, conic_point, seq_A, seq_R
 
@@ -69,29 +70,32 @@ def _admissible(a: int, b: int, c: int) -> bool:
     return a > 1 and b > 1 and c > 1 and a != b and a != c and b != c
 
 
-# variant -> (its forms.FAMILIES row, that row's integral forms); rebuilt
-# when the row object changes
-_INTEGRAL_ROWS = {}
+# variant -> (its forms.FAMILIES row, the normal forms of that row's
+# tables); rebuilt when the row object changes
+_NORMAL_ROWS = {}
 
 
-def _integral_row(variant: str) -> tuple:
+def _normal_row(variant: str) -> tuple:
     row = forms.FAMILIES[variant]
-    cached = _INTEGRAL_ROWS.get(variant)
+    cached = _NORMAL_ROWS.get(variant)
     if cached is None or cached[0] is not row:
-        cached = _INTEGRAL_ROWS[variant] = (
-            row, tuple(forms.integral_form(table) for table in row))
+        cached = _NORMAL_ROWS[variant] = (
+            row, tuple(symbolic.reduce(symbolic.BiPoly(table))
+                       for table in row))
     return cached[1]
 
 
 class IndexPoint(NamedTuple):
-    """The conic point of index n with the power lists [1, x, ..., x^d] and
-    [1, y, ..., y^d] of its coordinates, d = `forms.FAMILY_DEGREE`: all
-    that the constructor of either family row reads."""
+    """The conic point of index n with the basis that the normal form of
+    every table of either family row is a sum over: y_powers =
+    [1, y, ..., y^d] and x_y_powers = [x, x*y, ..., x*y^(d-1)],
+    d = `forms.FAMILY_DEGREE`, so that x^i*y^j is
+    (y_powers, x_y_powers)[i][j]."""
 
     n: int
     point: ConicPoint
-    xs: list
-    ys: list
+    y_powers: list
+    x_y_powers: list
 
 
 def index_points(start: int, stop: int) -> Iterator[IndexPoint]:
@@ -102,28 +106,30 @@ def index_points(start: int, stop: int) -> Iterator[IndexPoint]:
     for n in range(start, stop + 1):
         pt = (conic_point(n) if pt is None
               else ConicPoint(4 * pt.x - pt.y, pt.x))
-        yield IndexPoint(n, pt, forms.powers(pt.x, forms.FAMILY_DEGREE),
-                         forms.powers(pt.y, forms.FAMILY_DEGREE))
+        ys = forms.powers(pt.y, forms.FAMILY_DEGREE)
+        yield IndexPoint(n, pt, ys, [pt.x * v for v in ys[:-1]])
 
 
 def _construct(n: int, variant: str, at: Optional[IndexPoint]
                ) -> TripleCandidate:
-    """a, r, b, c, s from the `forms.FAMILIES` row of `variant` at the
-    point of index n (`at`, or the one of index_points(n, n) when it is
-    None), every invariant checked with `if` (not `assert`, so also under
-    python -O)."""
+    """a, r, b, c, s from the normal forms of the `forms.FAMILIES` row of
+    `variant`, each summed over the basis of the point of index n (`at`,
+    or the one of index_points(n, n) when it is None) and divided by its
+    denominator, every invariant checked with `if` (not `assert`, so also
+    under python -O)."""
     if at is None:
         at, = index_points(n, n)
     elif at.n != n:
         raise ValueError(f"the IndexPoint of index {at.n} is not the one of "
                          f"index {n}")
     pt = at.point
+    basis = (at.y_powers, at.x_y_powers)
     values = []
-    for what, (den, terms) in zip("arbcs", _integral_row(variant)):
-        num = forms.integral_value(terms, at.xs, at.ys)
-        v, rem = divmod(num, den)
+    for what, form in zip("arbcs", _normal_row(variant)):
+        num = sum(c * basis[i][j] for (i, j), c in form.num.items())
+        v, rem = divmod(num, form.den)
         if rem:
-            value = Fraction(num, den)
+            value = Fraction(num, form.den)
             raise ConstructionError(
                 f"{variant} {what} evaluated to non-integer {value} at "
                 f"({pt.x}, {pt.y}); point is off the conic")

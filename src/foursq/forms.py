@@ -9,10 +9,11 @@ conditions every member meets.
 
 Tables are evaluated over the integers: `integral_form` scales a table by
 the common denominator of its coefficients once, and `integral_value` sums
-that form at a point from the power lists of x and y, which every family
-table shares up to FAMILY_DEGREE; the caller divides by the denominator
-once.
-`evaluate` does all three for one table.
+that form at a point from the power lists of x and y; the caller divides
+by the denominator once.  `evaluate` does all three for one table.
+`family` evaluates the FAMILIES tables through their normal forms modulo
+the conic instead (`symbolic.reduce`), sums over the basis y^0..y^d and
+x*y^0..x*y^(d-1), d = FAMILY_DEGREE, which both rows share.
 
 The parameter point (x, y) runs over integer solutions of x^2 - 4xy + y^2 = 1.
 """
@@ -97,8 +98,9 @@ COMP_S = {
 FAMILIES = {"main": (ELEM_A, ROOT_R, ELEM_B, ELEM_C, ROOT_S),
             "companion": (ELEM_A, COMP_R, COMP_B, COMP_C, COMP_S)}
 
-# The highest x- or y-degree of any table in FAMILIES, from the quintic s
-# forms: the power lists of x and y that evaluate every family row.
+# The highest total degree of any table in FAMILIES, from the quintic s
+# forms.  Reducing x^2 -> 4xy - y^2 + 1 never raises it, so every family
+# table's normal form is a sum over y^0..y^d and x*y^0..x*y^(d-1).
 FAMILY_DEGREE = 5
 
 

@@ -4,13 +4,14 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import foursq
 from foursq import (ConstructionError, NotDiophantinePair, degenerate_family,
-                    family, make_companion, make_main, recurrence_r,
+                    family, forms, make_companion, make_main, recurrence_r,
                     regular_complete, seq_A, seq_R, verify_four)
 from foursq.certify import Certificate, DomainError
 from foursq.sequences import ConicPoint
@@ -144,8 +145,9 @@ def test_readme_neither_family_triples():
 
 def test_non_integer_polynomial_value_raises(monkeypatch):
     # bypass the conic check to hit the integrality guard in the constructor;
-    # both coordinates odd leaves the half-integer terms of r unpaired
-    pt = tuple.__new__(ConicPoint, (1, 1))
+    # at (0, 0) every normal form is its constant term, and those of the
+    # main r, b and c are odd numerators (-5, 31, 31) over 2
+    pt = tuple.__new__(ConicPoint, (0, 0))
     monkeypatch.setattr(family, "conic_point", lambda n: pt)
     with pytest.raises(ConstructionError, match="non-integer"):
         make_main(0)
@@ -159,6 +161,25 @@ def test_shared_index_points_give_each_variant_its_own_rows():
         for at in family.index_points(lo, hi):
             assert make_main(at.n, at) == make_main(at.n)
             assert make_companion(at.n, at) == make_companion(at.n)
+
+
+@pytest.mark.parametrize("variant,k", [(v, k) for v in forms.FAMILIES
+                                       for k in range(5)],
+                         ids=lambda p: p if isinstance(p, str) else "arbcs"[p])
+def test_normal_forms_equal_their_tables_at_each_index_point(variant, k):
+    # the constructor sums each table's normal form over the IndexPoint's
+    # basis, y^j for j <= d and x*y^j for j <= d - 1 (d = FAMILY_DEGREE);
+    # every term must be in it, so a table past d fails here, not in gen
+    table, form = forms.FAMILIES[variant][k], family._normal_row(variant)[k]
+    for i, j in form.num:
+        assert i <= 1 and j <= forms.FAMILY_DEGREE - i, (i, j)
+    for lo, hi in ((-60, 60), (1500, 1503), (-10_000, -10_000),
+                   (10_000, 10_000)):
+        for at in family.index_points(lo, hi):
+            basis = (at.y_powers, at.x_y_powers)
+            value = Fraction(sum(c * basis[i][j]
+                                 for (i, j), c in form.num.items()), form.den)
+            assert value == forms.evaluate(table, *at.point), at.n
 
 
 def test_an_index_point_for_another_index_or_row_is_refused():

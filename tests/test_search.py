@@ -642,22 +642,32 @@ def test_pure_census_on_processes_equals_one_job():
 
 
 def test_interrupt_stops_a_threaded_census(kernel, monkeypatch):
+    # the first chunk to start sends the SIGINT, and every other chunk waits
+    # until the caller has raised, so no chunk but those two can start
+    # whatever the chunks' speed
     _use_kernel(monkeypatch, kernel)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     started = []
+    lock = threading.Lock()
+    raised = threading.Event()
     chunk_worker = search._chunk_worker
 
     def counted(args):
-        started.append(args)
+        with lock:
+            started.append(args)
+            first = len(started) == 1
+        if first:
+            os.kill(os.getpid(), signal.SIGINT)
+        else:
+            raised.wait(timeout=60)
         return chunk_worker(args)
     monkeypatch.setattr(search, "_chunk_worker", counted)
     bound = 1_500_000
-    timer = threading.Timer(0.2, os.kill, (os.getpid(), signal.SIGINT))
-    timer.start()
     try:
         with pytest.raises(KeyboardInterrupt):
             search_triples(bound, jobs=2)
     finally:
-        timer.cancel()
+        raised.set()
     # the caller did not wait for the chunks still running
     census = [thread for thread in threading.enumerate()
               if thread.name.startswith("foursq-census")]
