@@ -11,10 +11,10 @@ also run 200 times.  `gen 1500 1503 both --format json` is the largest
 cost most, about 1.0 ms a row; evaluating and checking a member takes
 about 0.28 ms, nearly all of it the five invariant checks, and the basis
 of the index point that both rows share 0.18 ms (CPython 3.11, shared
-2-core Xeon).  The other commands run 5 times each.  A run's timed span covers making its sink and redirecting
-stdout as well as the call: `seq P 0 0` read 54 us without them and 58 us
-with them (medians of ten alternating runs of 200 calls, shared 2-core
-Xeon, CPython 3.11).
+2-core Xeon).  The other commands run 5 times each.  A run's timed span
+covers making its sink and redirecting stdout as well as the call:
+`seq P 0 0` read 54 us without them and 58 us with them (medians of ten
+alternating runs of 200 calls, shared 2-core Xeon, CPython 3.11).
 
 Those rows cannot see start-up, which is most of a command's wall time in
 a process of its own.  The last row times FRESH_RUNS fresh `python -m

@@ -642,9 +642,9 @@ def test_pure_census_on_processes_equals_one_job():
 
 
 def test_interrupt_stops_a_threaded_census(kernel, monkeypatch):
-    # the first chunk to start sends the SIGINT, and every other chunk waits
-    # until the caller has raised, so no chunk but those two can start
-    # whatever the chunks' speed
+    # the first chunk to start sends the SIGINT and every other chunk waits
+    # until the caller has raised, so the outcome does not hang on how long
+    # a chunk takes
     _use_kernel(monkeypatch, kernel)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     started = []
