@@ -86,11 +86,10 @@ def _normal_row(variant: str) -> tuple:
 
 
 class IndexPoint(NamedTuple):
-    """The conic point of index n with the basis that the normal form of
-    every table of either family row is a sum over: y_powers =
+    """The conic point of index n and the basis over which the normal form
+    of every table of either family row is summed: y_powers =
     [1, y, ..., y^d] and x_y_powers = [x, x*y, ..., x*y^(d-1)],
-    d = `forms.FAMILY_DEGREE`, so that x^i*y^j is
-    (y_powers, x_y_powers)[i][j]."""
+    d = `forms.FAMILY_DEGREE`; x^i*y^j is (y_powers, x_y_powers)[i][j]."""
 
     n: int
     point: ConicPoint
@@ -126,7 +125,7 @@ def _construct(n: int, variant: str, at: Optional[IndexPoint]
     basis = (at.y_powers, at.x_y_powers)
     values = []
     for what, form in zip("arbcs", _normal_row(variant)):
-        num = sum(c * basis[i][j] for (i, j), c in form.num.items())
+        num = sum(coef * basis[i][j] for (i, j), coef in form.num.items())
         v, rem = divmod(num, form.den)
         if rem:
             value = Fraction(num, form.den)
