@@ -11,7 +11,10 @@ also run 200 times.  `gen 1500 1503 both --format json` is the largest
 cost most, about 1.0 ms a row; evaluating and checking a member takes
 about 0.28 ms, nearly all of it the five invariant checks, and the basis
 of the index point that both rows share 0.18 ms (CPython 3.11, shared
-2-core Xeon).  The other commands run 5 times each.  A run's timed span
+2-core Xeon).  `seq R 7514 7517` is the largest `seq` window it draws
+(indices up to 7517, windows at most 3 wide), four values of about 4300
+digits from one conic point and three conic steps; it runs 200 times.
+The other commands run 5 times each.  A run's timed span
 covers making its sink and redirecting stdout as well as the call:
 `seq P 0 0` read 54 us without them and 58 us with them (medians of ten
 alternating runs of 200 calls, shared 2-core Xeon, CPython 3.11).
@@ -63,6 +66,7 @@ def near_miss(n):
 # (label, argv, runs)
 COMMANDS = [
     ("seq P 0 0", ["seq", "P", "0", "0"], 200),
+    ("seq R 7514 7517", ["seq", "R", "7514", "7517"], 200),
     ("gen 30 33 both --format json",
      ["gen", "30", "33", "both", "--format", "json"], 200),
     ("gen 0 1500 both --format csv",

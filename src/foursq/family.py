@@ -9,9 +9,10 @@ Two parametrized families indexed by n (through the conic point
 each is a row of a, r, b, c, s tables in `forms.FAMILIES`, evaluated by one
 constructor that checks `forms.triple_conditions` on the integers.  The
 constructor evaluates each table through its normal form c0(y) + x*c1(y)
-modulo the conic (`symbolic.reduce`, the prover's reduction), a sum over
-the basis y^0..y^d and x*y^0..x*y^(d-1), d = `forms.FAMILY_DEGREE`, that
-an `IndexPoint` holds for either row; `index_points` steps one along an
+modulo the conic (`symbolic.reduce`, the prover's reduction), a
+`symbolic.BiPoly` whose numerators `BiPoly.numerator_at` sums over the
+basis y^0..y^d and x*y^0..x*y^(d-1), d = `forms.FAMILY_DEGREE`, that an
+`IndexPoint` holds for either row; `index_points` steps one along an
 index range, so that both variants evaluated at an index share it.
 
 Plus the two elementary constructions: completing a pair (a, b) with
@@ -105,7 +106,9 @@ def index_points(start: int, stop: int) -> Iterator[IndexPoint]:
     for n in range(start, stop + 1):
         pt = (conic_point(n) if pt is None
               else ConicPoint(4 * pt.x - pt.y, pt.x))
-        ys = forms.powers(pt.y, forms.FAMILY_DEGREE)
+        ys = [1]
+        for _ in range(forms.FAMILY_DEGREE):
+            ys.append(ys[-1] * pt.y)
         yield IndexPoint(n, pt, ys, [pt.x * v for v in ys[:-1]])
 
 
@@ -125,7 +128,7 @@ def _construct(n: int, variant: str, at: Optional[IndexPoint]
     basis = (at.y_powers, at.x_y_powers)
     values = []
     for what, form in zip("arbcs", _normal_row(variant)):
-        num = sum(coef * basis[i][j] for (i, j), coef in form.num.items())
+        num = form.numerator_at(basis)
         v, rem = divmod(num, form.den)
         if rem:
             value = Fraction(num, form.den)

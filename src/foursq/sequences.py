@@ -3,7 +3,9 @@
 The point of index n is (x, y) = (P(n+1), P(n)).  It is read off the power
 (2+sqrt(3))^n = u + v*sqrt(3): P(n) = v, and (2+sqrt(3))^(n+1) =
 (2u + 3v) + (u + 2v)*sqrt(3) gives P(n+1) = u + 2v.  A(n) = x + 2y and
-R(n) = (5x - 3y - 1)/2 are linear forms from `forms`.  A range of indices
+R(n) = (5x - 3y - 1)/2 are linear forms from `forms`, evaluated as
+`symbolic.BiPoly` numerators summed over 1, x and y (`numerator_at`) and
+divided once by the denominator.  A range of indices
 starts at the point of its first index and moves forward by the conic step
 (x, y) -> (4x - y, x).
 Values are kept signed; A(-1) = -2, A(-2) = -9, ... even though tables of
@@ -13,6 +15,7 @@ the negative branch are often quoted unsigned.
 from typing import NamedTuple
 
 from . import forms
+from .symbolic import BiPoly
 
 
 class _Point(NamedTuple):
@@ -54,17 +57,15 @@ def conic_point(n: int) -> ConicPoint:
     return ConicPoint(w.u + 2 * w.v, w.v)
 
 
-# Each sequence as a linear form in the conic point of the same index, in
-# integral form; the denominators divide the values on the conic, as
-# tests/test_forms.py proves.
-_FORMS = {name: forms.integral_form(table) for name, table in (
+# Each sequence as a linear form in the conic point of the same index; the
+# denominators divide the values on the conic, as tests/test_forms.py proves.
+_FORMS = {name: BiPoly(table) for name, table in (
     ("P", {(0, 1): 1}), ("A", forms.A_FORM),
     ("R", {mono: coef / 2 for mono, coef in forms.R2_FORM.items()}))}
 
 
-def _value(form: tuple, x: int, y: int) -> int:
-    den, terms = form
-    return forms.integral_value(terms, (1, x), (1, y)) // den
+def _value(form: BiPoly, x: int, y: int) -> int:
+    return form.numerator_at(((1, y), (x,))) // form.den
 
 
 def pell_P(n: int) -> int:

@@ -7,6 +7,11 @@ normal form c0(y) + c1(y)*x, a `BiPoly` of x-degree at most 1, and two
 polynomials agree on the conic iff their normal forms are equal.
 `prove_identities` uses this to machine-check the entire identity chain
 behind the main family, ending in abc+1 = s^2.
+
+A `BiPoly` is also the package's integral form of a coefficient table:
+integer numerators over one denominator.  `BiPoly.numerator_at` sums them
+over a basis of monomial values; `family` runs it on each table's normal
+form and `sequences` on the P, A and R forms, dividing by `den` once.
 """
 
 import math
@@ -29,7 +34,10 @@ class BiPoly:
     polynomials have equal `num` and `den`.
 
     A coefficient table of int or Fraction coefficients becomes a BiPoly
-    through `forms.integral_form`.  The ring operations work on the integer
+    scaled by the lcm of its coefficients' denominators; this is the
+    package's one integral form of a table.  `numerator_at` sums the
+    numerators over a basis of monomial values, the one evaluation that
+    `family` and `sequences` run.  The ring operations work on the integer
     numerators and end with one gcd, in `_canonical`; Fractions are made only
     at the edges, by `terms`, `evaluate` and `repr`.  An int or Fraction on
     either side of +, -, * or == is a constant polynomial.
@@ -38,8 +46,11 @@ class BiPoly:
     __slots__ = ("num", "den")
 
     def __init__(self, terms: Optional[Dict[Monomial, Fraction]] = None):
-        self.den, form = forms.integral_form(terms or {})
-        self.num: Dict[Monomial, int] = {(i, j): c for i, j, c in form if c}
+        terms = terms or {}
+        self.den = den = math.lcm(*(c.denominator for c in terms.values()))
+        self.num: Dict[Monomial, int] = {
+            m: c.numerator * (den // c.denominator)
+            for m, c in terms.items() if c}
 
     @classmethod
     def _canonical(cls, num: Dict[Monomial, int], den: int) -> "BiPoly":
@@ -135,9 +146,17 @@ class BiPoly:
             k >>= 1
         return result
 
+    def numerator_at(self, basis) -> int:
+        """The sum of num[(i, j)] * basis[i][j]: den times the value at the
+        point whose monomial values basis[i][j] = x^i * y^j holds."""
+        return sum(c * basis[i][j] for (i, j), c in self.num.items())
+
     def evaluate(self, x, y) -> Fraction:
-        """The exact value at integer point (x, y), by `forms.evaluate`."""
-        return forms.evaluate(self.terms, x, y)
+        """The exact value at integer point (x, y): `numerator_at` over
+        every x^i * y^j up to the total degree, divided once by den."""
+        d = max(map(sum, self.num), default=0)
+        basis = [[x ** i * y ** j for j in range(d + 1)] for i in range(d + 1)]
+        return Fraction(self.numerator_at(basis), self.den)
 
     def __repr__(self) -> str:
         terms = self.terms

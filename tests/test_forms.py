@@ -11,11 +11,11 @@ from foursq import BiPoly, conic_point, forms, sequences
 FAMILY_TABLES = {f"{variant}-{what}": table
                  for variant, row in forms.FAMILIES.items()
                  for what, table in zip("arbcs", row)}
-SEQUENCE_FORMS = {f"seq-{name}": form
-                  for name, form in sequences._FORMS.items()}
-INTEGRAL_FORMS = {**{name: forms.integral_form(table)
+# each as its integral form, a BiPoly (the sequences hold theirs as one)
+INTEGRAL_FORMS = {**{name: BiPoly(table)
                      for name, table in FAMILY_TABLES.items()},
-                  **SEQUENCE_FORMS}
+                  **{f"seq-{name}": poly
+                     for name, poly in sequences._FORMS.items()}}
 
 
 def test_conic_mod_2_leaves_two_residues():
@@ -31,15 +31,13 @@ def test_tables_are_integral_on_the_conic(name):
     # A finite proof that the table's value is an integer at every conic
     # point: den is 1 or 2, and for den 2 the integer numerator, whose parity
     # depends only on x and y mod 2, is even at both residues of the conic.
-    form = INTEGRAL_FORMS[name]
-    den, terms = form
-    assert den in (1, 2)
-    if den == 2:
-        dx, dy = forms.degrees(form)
+    poly = INTEGRAL_FORMS[name]
+    assert poly.den in (1, 2)
+    if poly.den == 2:
         for x, y in ((1, 0), (0, 1)):
-            num = forms.integral_value(terms, forms.powers(x, dx),
-                                       forms.powers(y, dy))
-            assert num % 2 == 0, (x, y)
+            basis = [[x ** i * y ** j for j in range(forms.FAMILY_DEGREE + 1)]
+                     for i in range(forms.FAMILY_DEGREE + 1)]
+            assert poly.numerator_at(basis) % 2 == 0, (x, y)
 
 
 @pytest.mark.parametrize("name", sorted(FAMILY_TABLES))
@@ -90,8 +88,13 @@ def test_evaluate_equals_the_naive_rational_sum(name):
 def test_bipoly_evaluate_equals_the_naive_rational_sum(name):
     table = EVALUATED_TABLES[name]
     poly = BiPoly(table)
+    degree = max((i + j for i, j in table), default=0)
     for x, y in POINTS:
         assert poly.evaluate(x, y) == _naive(table, x, y), (x, y)
+        basis = [[x ** i * y ** j for j in range(degree + 1)]
+                 for i in range(degree + 1)]
+        assert Fraction(poly.numerator_at(basis), poly.den) == _naive(
+            table, x, y), (x, y)
 
 
 def _direct_conditions(a, r, b, c, s):
