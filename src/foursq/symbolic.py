@@ -155,7 +155,8 @@ class BiPoly:
         """The exact value at integer point (x, y): `numerator_at` over
         every x^i * y^j up to the total degree, divided once by den."""
         d = max(map(sum, self.num), default=0)
-        basis = [[x ** i * y ** j for j in range(d + 1)] for i in range(d + 1)]
+        basis = [[x ** i * y ** j for j in range(d + 1 - i)]
+                 for i in range(d + 1)]
         return Fraction(self.numerator_at(basis), self.den)
 
     def __repr__(self) -> str:
